@@ -49,7 +49,7 @@ THROUGHPUT_METRICS = {
                          "repeat_tps"),
     "service": ("throughput_rps",),
     "patterns": ("plan_eps", "plan_warm_eps"),
-    "patterns-selective": ("join_eps", "recurrence_eps"),
+    "patterns-selective": ("join_eps",),
     "storage": ("ingest_dps", "read_dps", "fp_eps"),
 }
 

@@ -105,18 +105,13 @@ def main() -> None:
           f"paid once per query, not once per (query, node).")
 
     # ------------------------------------------------------------------ #
-    # 7. Evaluation strategies: each plan run picks structural joins
-    #    (seeded from the snapshot's per-label indexes, interval joins
-    #    over the pre/post plane) or the bottom-up recurrence, whichever
-    #    the selectivity heuristic predicts is cheaper.  The counters
-    #    say which strategy actually served the re-asked question.
+    # 7. Plan evaluation: every pattern run is a structural join, seeded
+    #    from the snapshot's per-label indexes, with interval joins over
+    #    the pre/post plane.  The counter says how many pattern runs
+    #    served the re-asked question.
     # ------------------------------------------------------------------ #
     joins = stats["plan_join_runs"] - before["plan_join_runs"]
-    recurrences = (stats["plan_recurrence_runs"]
-                   - before["plan_recurrence_runs"])
-    print(f"Evaluation strategy for that request: {joins} structural-join "
-          f"run(s), {recurrences} recurrence run(s) "
-          f"(force either with REPRO_EVAL_STRATEGY=join|recurrence).")
+    print(f"Structural-join runs for that request: {joins}.")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ assumes — a violated one does not crash, it returns wrong answers:
 * **shape mirror** — the lowered operator tree is isomorphic to the query
   AST (atom ↔ pattern, join ↔ conjunction, project ↔ ∃, union ↔ ∪);
 * **join-program alignment** — the structural-join program derived at
-  compile time is index-aligned with the recurrence ops, every staircase
+  compile time is index-aligned with the lowered ops, every staircase
   join ranges over a strictly earlier node op's table (interval-input
   monotonicity), every node entry carries exactly one spec per child
   (width uniformity across join arms), and every collapsed ``//`` chain
@@ -149,7 +149,7 @@ def _verify_ops(ops: Sequence[tuple], width: int, labels: Set[str],
 
 def _verify_join_ops(ops: Sequence[tuple], join_ops: Any,
                      context: str) -> None:
-    """The structural-join program must mirror the recurrence ops.
+    """The structural-join program must mirror the lowered ops.
 
     ``join_ops`` is derived once at compile time
     (:func:`repro.patterns.plan._derive_join_ops`); the evaluator trusts

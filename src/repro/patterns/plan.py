@@ -13,26 +13,20 @@ cost **once per query** instead of once per (query, node):
   unbound slot), label tests are single ``int`` comparisons against the
   interned labels of a :class:`~repro.xmlmodel.frozen.FrozenTree`, and
   joins are slot-merge loops over those tuples;
-* **two evaluation strategies** share those lowered ops.  The *recurrence*
-  runs one bottom-up pass over the frozen tree's ``post_order``, filling
-  per-op match tables — ``//ϕ`` is lowered to the recurrence
-  ``desc(v) = ⋃_{c child of v} (inner(c) ∪ desc(c))``, so no descendant
-  set is ever enumerated.  The *structural join* is set-at-a-time over
-  the pre/post plane: each node op scans only its candidate seed
-  (``nodes_by_label`` for a labelled op, the smallest tested attribute
-  table for a wildcard with tests), ``/`` steps are merge joins over the
-  contiguous BFS child spans, and collapsed ``//`` chains are skip-ahead
-  staircase joins — one ``bisect`` into the inner matches sorted by pre
-  rank, bounded by ``pre[v] + size[v]`` and filtered by depth.  Both
-  strategies produce **bit-identical rows in bit-identical order** (the
-  join replays the recurrence's document-order gathers), so downstream
-  null allocation — and therefore canonical-solution fingerprints — never
-  depends on which one ran;
-* the strategy is chosen per ``matches()`` call by a cheap selectivity
-  heuristic (join when the summed seed sizes are at most half of
-  ``n × node-ops``), overridable via ``REPRO_EVAL_STRATEGY=join|
-  recurrence|auto``; callers that pass a ``stats`` recorder get
-  ``plan_join_runs`` / ``plan_recurrence_runs`` event counts;
+* one evaluator runs those lowered ops: a **structural join**,
+  set-at-a-time over the pre/post plane.  Each node op scans only its
+  candidate seed (``nodes_by_label`` for a labelled op, the smallest
+  tested attribute table for a wildcard with tests), ``/`` steps are
+  merge joins over the contiguous BFS child spans, and collapsed ``//``
+  chains are skip-ahead staircase joins — one ``bisect`` into the inner
+  matches sorted by pre rank, bounded by ``pre[v] + size[v]`` and
+  filtered by depth.  Callers that pass a ``stats`` recorder get one
+  ``plan_join_runs`` event per pattern run;
+* **row order is part of the contract.**  ``//`` gathers run in document
+  pre-order and node roots are gathered in ascending BFS position.  Null
+  allocation in ``presolution._instantiate_std`` follows that order, so
+  canonical-solution fingerprints (nulls included) depend on it; golden
+  digests in the test suite lock it;
 * :class:`PlanCache` is a bounded, counted, thread-safe LRU keyed by
   ``Query.fingerprint()`` — the engine and every service shard reuse plans
   across requests.  Per-tree spec resolution (label/attribute interning)
@@ -100,56 +94,6 @@ def _maybe_verify(plan: Any) -> Any:
         plancheck.verify_plan(plan)
         plan.verified = True
     return plan
-
-
-_STRATEGIES = ("auto", "join", "recurrence")
-
-
-def _strategy_override() -> str:
-    """The ``REPRO_EVAL_STRATEGY`` knob: ``join``, ``recurrence`` or
-    ``auto`` (the default — per-pattern selectivity heuristic).  Read per
-    call so tests and operators can flip it without recompiling plans."""
-    raw = os.environ.get("REPRO_EVAL_STRATEGY", "auto").strip().lower()
-    if not raw:
-        return "auto"
-    if raw not in _STRATEGIES:
-        raise ValueError(
-            f"REPRO_EVAL_STRATEGY={raw!r} is not one of {_STRATEGIES}")
-    return raw
-
-
-def _pick_strategy(resolved: Sequence[tuple], frozen: FrozenTree) -> str:
-    """``join`` or ``recurrence`` for one pattern evaluation.
-
-    The heuristic is deliberately cheap: sum the candidate-seed sizes of
-    the resolved node ops (the work the join pass scans) and compare
-    against ``n × node-ops`` (the work the recurrence pass scans).  Join
-    wins when its seeds cover at most half the recurrence's sweep — on a
-    label-selective pattern the seeds are tiny and the join is chosen; on
-    a wildcard-heavy pattern both sides degenerate to ``n`` per op and the
-    recurrence keeps its allocation-light single pass.
-    """
-    choice = _strategy_override()
-    if choice != "auto":
-        return choice
-    n = frozen.n
-    total = 0
-    node_ops = 0
-    for rop in resolved:
-        kind = rop[0]
-        if kind == "desc":
-            continue
-        node_ops += 1
-        if kind == "never":
-            continue
-        rlabel = rop[1]
-        if rlabel >= 0:
-            total += len(frozen.nodes_by_label[rlabel])
-        elif rop[2] or rop[3]:
-            total += min(len(table) for table, _ in rop[2] + rop[3])
-        else:
-            total += n
-    return "join" if total * 2 <= n * node_ops else "recurrence"
 
 
 # --------------------------------------------------------------------- #
@@ -231,7 +175,7 @@ def _collapse_desc(ops: Sequence[tuple], index: int) -> Tuple[int, int]:
 
 
 def _derive_join_ops(ops: Sequence[tuple]) -> Tuple[tuple, ...]:
-    """The structural-join program paired with a recurrence op sequence.
+    """The structural-join program derived from a lowered op sequence.
 
     One entry per op, same indexes:
 
@@ -298,10 +242,11 @@ def _resolve_ops(ops: Sequence[tuple],
                  frozen: FrozenTree) -> Tuple[tuple, ...]:
     """Bind op specs to one tree: intern labels and attribute names once.
 
+    Each op becomes ``("node", rlabel, rconst, rvar)``, ``("desc", inner)``
+    or ``("never",)``; children are read from the join program.
     ``rlabel``: -1 = wildcard, -2 = label absent (op can never match).
     The result depends only on the tree's interning tables, so it is
-    cached per (plan, frozen snapshot) — see :meth:`PatternPlan._bound_ops`
-    — and shared by both evaluation strategies.
+    cached per (plan, frozen snapshot) — see :meth:`PatternPlan._bound_ops`.
     """
     attr_tables = frozen.attr_tables
     attr_ids = frozen.attr_ids
@@ -310,7 +255,7 @@ def _resolve_ops(ops: Sequence[tuple],
         if op[0] == "desc":
             resolved.append(("desc", op[1]))
             continue
-        _, label, const_tests, var_tests, child_indexes = op
+        _, label, const_tests, var_tests, _child_indexes = op
         if label is None:
             rlabel = -1
         else:
@@ -334,104 +279,12 @@ def _resolve_ops(ops: Sequence[tuple],
         if not possible:
             resolved.append(("never",))
         else:
-            resolved.append(("node", rlabel, tuple(rconst), tuple(rvar),
-                             child_indexes))
+            resolved.append(("node", rlabel, tuple(rconst), tuple(rvar)))
     return tuple(resolved)
 
 
-def _evaluate_ops(ops: Sequence[tuple], frozen: FrozenTree, width: int,
-                  base: Row,
-                  resolved: Optional[Sequence[tuple]] = None
-                  ) -> List[List[Tuple[Row, ...]]]:
-    """One bottom-up pass: per-op, per-node match tables over ``frozen``
-    (the recurrence strategy)."""
-    n = frozen.n
-    labels = frozen.labels
-    child_start = frozen.child_start
-    child_end = frozen.child_end
-    if resolved is None:
-        resolved = _resolve_ops(ops, frozen)
-    tables: List[List[Tuple[Row, ...]]] = [[_EMPTY] * n for _ in ops]
-
-    for v in frozen.post_order:
-        cs = child_start[v]
-        ce = child_end[v]
-        for index, op in enumerate(resolved):
-            kind = op[0]
-            if kind == "never":
-                continue
-            if kind == "desc":
-                if cs == ce:
-                    continue
-                inner_table = tables[op[1]]
-                self_table = tables[index]
-                gathered: List[Row] = []
-                for c in range(cs, ce):
-                    found = inner_table[c]
-                    if found:
-                        gathered.extend(found)
-                    found = self_table[c]
-                    if found:
-                        gathered.extend(found)
-                if gathered:
-                    if len(gathered) > 1:
-                        gathered = list(dict.fromkeys(gathered))
-                    self_table[v] = tuple(gathered)
-                continue
-            _, rlabel, rconst, rvar, child_indexes = op
-            if rlabel >= 0 and labels[v] != rlabel:
-                continue
-            ok = True
-            for table, constant in rconst:
-                if table.get(v) != constant:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            row = base
-            if rvar:
-                scratch: Optional[List[Optional[Value]]] = None
-                for table, slot in rvar:
-                    value = table.get(v)
-                    if value is None:
-                        ok = False
-                        break
-                    current = row[slot] if scratch is None else scratch[slot]
-                    if current is None:
-                        if scratch is None:
-                            scratch = list(row)
-                        scratch[slot] = value
-                    elif current != value:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if scratch is not None:
-                    row = tuple(scratch)
-            result: Tuple[Row, ...] = (row,)
-            for child_index in child_indexes:
-                child_table = tables[child_index]
-                gathered = []
-                for c in range(cs, ce):
-                    found = child_table[c]
-                    if found:
-                        gathered.extend(found)
-                if not gathered:
-                    result = _EMPTY
-                    break
-                if len(gathered) > 1:
-                    gathered = list(dict.fromkeys(gathered))
-                result = _join_rows(result, gathered)
-                if not result:
-                    break
-            if result:
-                tables[index][v] = result
-    return tables
-
-
-def _evaluate_join(ops: Sequence[tuple], join_ops: Sequence[tuple],
-                   root: int, frozen: FrozenTree, base: Row,
-                   resolved: Sequence[tuple]) -> Tuple[Row, ...]:
+def _evaluate_join(join_ops: Sequence[tuple], root: int, frozen: FrozenTree,
+                   base: Row, resolved: Sequence[tuple]) -> Tuple[Row, ...]:
     """Set-at-a-time structural-join evaluation over the pre/post plane.
 
     Node ops run in index order (children before parents), each over its
@@ -442,23 +295,20 @@ def _evaluate_join(ops: Sequence[tuple], join_ops: Sequence[tuple],
     interval ``(pre[v], pre[v] + size[v])`` and filter by the chain's
     depth floor (a skip-ahead staircase join).
 
-    Row-order parity with the recurrence is load-bearing, not cosmetic:
-    the recurrence's ``desc`` gathers enumerate inner matches in document
-    (pre-) order and its final gather walks positions ascending, and
-    downstream null allocation (`presolution._instantiate_std`) keys off
-    that enumeration order.  The join path reproduces both orders exactly
-    — candidate seeds are scanned ascending, staircase gathers ascend in
-    pre rank — so the two strategies return identical tuples in identical
-    order.  Returns the deduplicated match rows of the pattern root
-    (what :meth:`PatternPlan.matches` would gather from the recurrence's
-    tables).
+    Returns the deduplicated match rows of the pattern root, in a fixed
+    order: candidate seeds are scanned in ascending BFS position, every
+    ``//`` gather runs in document pre-order, and the final gather walks
+    a node root's matches in ascending BFS position (a ``//`` root's in
+    pre-order).  That order is load-bearing, not cosmetic: null
+    allocation in ``presolution._instantiate_std`` enumerates rows in
+    it, so canonical-solution fingerprints depend on it.
     """
     n = frozen.n
     child_start = frozen.child_start
     child_end = frozen.child_end
     nodes_by_label = frozen.nodes_by_label
 
-    count = len(ops)
+    count = len(resolved)
     rows_of: List[Optional[Dict[int, Tuple[Row, ...]]]] = [None] * count
     poslist: List[Optional[List[int]]] = [None] * count
     pre_sorted: List[Optional[List[int]]] = [None] * count
@@ -487,10 +337,10 @@ def _evaluate_join(ops: Sequence[tuple], join_ops: Sequence[tuple],
     for index, rop in enumerate(resolved):
         if rop[0] != "node":
             continue  # "desc" collapses into its consumers; "never" stays empty
-        _, rlabel, rconst, rvar, _child_indexes = rop
+        _, rlabel, rconst, rvar = rop
         specs = join_ops[index][1]
         # Candidate seed, always scanned in ascending BFS position so the
-        # output maps iterate in the recurrence's gather order.
+        # output maps iterate in that order too.
         if rlabel >= 0:
             candidates: Sequence[int] = nodes_by_label[rlabel]
         elif rconst or rvar:
@@ -574,10 +424,9 @@ def _evaluate_join(ops: Sequence[tuple], join_ops: Sequence[tuple],
             pre_sorted[index] = ordered
             pre_keys[index] = [pre[p] for p in ordered]
 
-    # Final gather — replicates PatternPlan.matches over the recurrence's
-    # root table: positions ascending for a node root; for a `//` root the
-    # (deduplicated) table at the tree root already equals the inner
-    # matches in pre order with the chain's depth floor applied.
+    # Final gather: positions ascending for a node root; for a `//` root,
+    # the inner matches in pre order with the chain's depth floor applied
+    # (the chain is anchored at the tree root, depth 0).
     gathered_all: List[Row] = []
     root_jop = join_ops[root]
     if root_jop[0] == "desc":
@@ -615,7 +464,7 @@ class PatternPlan:
         self.ops = ops
         #: The structural-join program paired with ``ops`` (same indexes;
         #: see :func:`_derive_join_ops`).  Derived once at compile time and
-        #: verified next to the recurrence ops by the plan verifier.
+        #: verified next to the lowered ops by the plan verifier.
         self.join_ops = _derive_join_ops(ops)
         self.root = root
         self.width = width
@@ -673,32 +522,14 @@ class PatternPlan:
         pattern (the plan analogue of
         :func:`~repro.patterns.evaluate.match_anywhere`), deduplicated.
 
-        The evaluation strategy — structural join vs bottom-up recurrence
-        — is picked per call (:func:`_pick_strategy`, overridable via
-        ``REPRO_EVAL_STRATEGY``); both return bit-identical rows in
-        bit-identical order.  ``stats`` (a
-        :class:`~repro.engine.stats.CacheStats`) records one
-        ``plan_join_runs`` / ``plan_recurrence_runs`` event per call.
+        Rows come back in the order :func:`_evaluate_join` documents.
+        ``stats`` (a :class:`~repro.engine.stats.CacheStats`) records one
+        ``plan_join_runs`` event per call.
         """
-        base = self._base_row(binding)
-        resolved = self._bound_ops(frozen)
-        strategy = _pick_strategy(resolved, frozen)
-        if strategy == "join":
-            if stats is not None:
-                stats.count("plan_join_runs")
-            return _evaluate_join(self.ops, self.join_ops, self.root,
-                                  frozen, base, resolved)
         if stats is not None:
-            stats.count("plan_recurrence_runs")
-        tables = _evaluate_ops(self.ops, frozen, self.width, base, resolved)
-        root_table = tables[self.root]
-        gathered: List[Row] = []
-        for found in root_table:
-            if found:
-                gathered.extend(found)
-        if len(gathered) > 1:
-            gathered = list(dict.fromkeys(gathered))
-        return tuple(gathered)
+            stats.count("plan_join_runs")
+        return _evaluate_join(self.join_ops, self.root, frozen,
+                              self._base_row(binding), self._bound_ops(frozen))
 
     def assignments(self, frozen: FrozenTree,
                     binding: Optional[Mapping[str, Value]] = None,
@@ -875,8 +706,7 @@ class QueryPlan:
         """All satisfying assignments as slot rows (deduplicated).
 
         ``stats`` (a :class:`~repro.engine.stats.CacheStats`) receives one
-        ``plan_join_runs`` / ``plan_recurrence_runs`` event per atom
-        evaluated, recording which strategy served each pattern."""
+        ``plan_join_runs`` event per atom evaluated."""
         return self.node.rows(frozen, self.width, stats)
 
     def answers(self, frozen: FrozenTree,

@@ -14,9 +14,8 @@ A :class:`FrozenTree` is a read-only snapshot of an
   patterns, a ROADMAP follow-up);
 * attribute values live in per-attribute tables ``{node: value}`` keyed by
   the interned attribute id — one dict lookup per attribute test;
-* ``post_order`` is a precomputed bottom-up evaluation order (every node
-  after all of its descendants), which is what the compiled recurrence
-  evaluator in :mod:`repro.patterns.plan` iterates;
+* ``post_order`` is a precomputed bottom-up order (every node after all
+  of its descendants), which the iterative :meth:`fingerprint` walks;
 * :meth:`pre_post` derives (and caches) the **pre/post interval plane** of
   the XPath-accelerator encoding — the single source of truth shared by
   the storage record encoder (:mod:`repro.storage.encoding`) and the

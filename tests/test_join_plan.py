@@ -1,18 +1,22 @@
-"""The structural-join evaluator: adversarial parity, strategy routing,
-bind caching and the accounting/plumbing the tentpole added around it.
+"""The structural-join evaluator: adversarial order and parity, bind
+caching and the accounting/plumbing around it.
 
-The generated property sweep (tests/test_properties_generated.py) forces
-both strategies across hundreds of scenarios, but its queries are linear
-root-down paths — no ``//``, no wildcard.  This file attacks exactly the
-shapes the sweep cannot reach: nested descendant chains, descendant arms
-under branching nodes, wildcard ops seeded from attribute tables, empty
-``nodes_by_label`` seeds, and union arms of mixed selectivity — each
-checked for *ordered* row parity (downstream null allocation depends on
-row order, not only the row set) plus interpreter agreement.
+The generated property sweep (tests/test_properties_generated.py) checks
+interpreter parity across hundreds of scenarios, but its queries are
+linear root-down paths — no ``//``, no wildcard.  This file attacks
+exactly the shapes the sweep cannot reach: nested descendant chains,
+descendant arms under branching nodes, wildcard ops seeded from attribute
+tables, empty ``nodes_by_label`` seeds, and union arms of mixed
+selectivity — each checked for its *ordered* rows against the golden
+digests in ``tests/golden/plan_order.json`` (downstream null allocation
+depends on row order, not only the row set) plus interpreter agreement.
 """
 
+import hashlib
+import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +27,9 @@ from repro.generators import generate_scenario
 from repro.patterns import (assignment_key, compile_pattern, compile_query,
                             descendant, match_anywhere, node, pattern_query,
                             union_query, wildcard)
-from repro.patterns.plan import _pick_strategy
 from repro.storage.encoding import (decode_document, decode_intervals,
                                     encode_document)
-from repro.workloads import library
+from repro.workloads import library, nested_relational
 
 
 def _random_tree(seed: int, size: int = 60) -> XMLTree:
@@ -69,29 +72,41 @@ ADVERSARIAL_PATTERNS = [
     descendant(node("zz")),
     # Mixed-selectivity branching: rare arm + ubiquitous arm at one node.
     node("db", None, descendant(node("book")), descendant(node("row"))),
+    # Many matches inside one child span: row order follows the span.
+    wildcard(None, node("row", {"name": "$n"})),
 ]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "plan_order.json")
+                    .read_text(encoding="utf-8"))
+
+
+def _row_digest(rows) -> str:
+    """sha256 of a stable rendering of an *ordered* row tuple."""
+    return hashlib.sha256(repr(tuple(rows)).encode("utf-8")).hexdigest()
 
 
 class TestAdversarialParity:
     @pytest.mark.parametrize("seed", range(12))
-    def test_join_equals_recurrence_rowwise(self, seed, monkeypatch):
+    def test_join_equals_recurrence_rowwise(self, seed):
+        """Ordered rows equal the golden digests, which were recorded with
+        the join and the former bottom-up recurrence evaluator each forced
+        and asserted equal; row sets equal the interpreter's."""
         tree = _random_tree(seed)
         frozen = tree.freeze()
-        for pattern in ADVERSARIAL_PATTERNS:
+        expected = GOLDEN["adversarial_rows"][str(seed)]
+        assert len(expected) == len(ADVERSARIAL_PATTERNS)
+        for pattern, digest in zip(ADVERSARIAL_PATTERNS, expected):
             plan = compile_pattern(pattern)
-            monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-            joined = plan.matches(frozen)
-            monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-            recurred = plan.matches(frozen)
-            monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-            # Ordered tuple equality: bit-identical rows, bit-identical order.
-            assert joined == recurred, f"seed={seed} pattern={pattern}"
+            # Bit-identical rows in bit-identical order.
+            assert _row_digest(plan.matches(frozen)) == digest, \
+                f"seed={seed} pattern={pattern}"
             interpreted = sorted(map(assignment_key,
                                      match_anywhere(tree, pattern)))
             planned = sorted(map(assignment_key, plan.assignments(frozen)))
             assert planned == interpreted, f"seed={seed} pattern={pattern}"
 
-    def test_union_arms_of_mixed_selectivity(self, monkeypatch):
+    def test_union_arms_of_mixed_selectivity(self):
         tree = _random_tree(99, size=120)
         frozen = tree.freeze()
         query = union_query(
@@ -99,18 +114,33 @@ class TestAdversarialParity:
             pattern_query(descendant(node("row", {"name": "$n"}))),
         )
         plan = compile_query(query)
-        monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-        joined = plan.rows(frozen)
-        monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-        recurred = plan.rows(frozen)
-        monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-        assert joined == recurred
-        # Under "auto" the arms may route differently; answers must not care.
         stats = CacheStats()
-        auto_rows = plan.rows(frozen, stats=stats)
-        assert auto_rows == joined
-        assert (stats.counts("plan_join_runs")
-                + stats.counts("plan_recurrence_runs")) == 2  # one per arm
+        rows = plan.rows(frozen, stats=stats)
+        assert _row_digest(rows) == GOLDEN["union_rows"]
+        assert stats.counts("plan_join_runs") == 2  # one per arm
+        planned = sorted(map(assignment_key, plan.evaluate(frozen)))
+        interpreted = sorted(map(assignment_key, query.evaluate(tree)))
+        assert planned == interpreted
+
+    @pytest.mark.parametrize("name", ["library", "company"])
+    def test_workload_solutions_match_golden(self, name):
+        """End to end: STD source-plan rows feed null allocation, so their
+        order decides the canonical solution's nulls and fingerprint."""
+        setting, tree = {
+            "library": (library.library_setting(),
+                        library.figure_1_source()),
+            "company": (nested_relational.company_setting(),
+                        nested_relational.generate_company_source(
+                            3, employees_per_dept=2, projects_per_dept=2)),
+        }[name]
+        expected = GOLDEN["workloads"][name]
+        frozen = tree.freeze()
+        rows = [compile_pattern(dependency.source).matches(frozen)
+                for dependency in setting.stds]
+        assert _row_digest(rows) == expected["std_rows"]
+        solved = canonical_solution(setting, tree)
+        assert solved.success
+        assert solved.tree.fingerprint() == expected["fingerprint"]
 
     def test_rare_label_on_wide_tree_routes_to_join(self):
         tree = XMLTree("db", ordered=False)
@@ -123,25 +153,10 @@ class TestAdversarialParity:
         plan = compile_pattern(
             node("shelf", None, node("book", None,
                                      node("author", {"name": "$n"}))))
-        assert _pick_strategy(plan._bound_ops(frozen), frozen) == "join"
         stats = CacheStats()
         rows = plan.matches(frozen, stats=stats)
         assert stats.counts("plan_join_runs") == 1
-        assert stats.counts("plan_recurrence_runs") == 0
         assert [row[plan.slot_of("n")] for row in rows] == ["A"]
-
-    def test_wildcard_heavy_pattern_routes_to_recurrence(self):
-        tree = _random_tree(3)
-        frozen = tree.freeze()
-        plan = compile_pattern(wildcard(None, wildcard()))
-        assert _pick_strategy(plan._bound_ops(frozen), frozen) == "recurrence"
-
-    def test_invalid_strategy_override_raises(self, monkeypatch):
-        plan = compile_pattern(node("db"))
-        frozen = XMLTree("db").freeze()
-        monkeypatch.setenv("REPRO_EVAL_STRATEGY", "quantum")
-        with pytest.raises(ValueError, match="REPRO_EVAL_STRATEGY"):
-            plan.matches(frozen)
 
 
 class TestBindCache:
@@ -181,15 +196,10 @@ class TestEngineAccounting:
         query = library.query_writer_of("Computational Complexity")
         result = engine.certain_answers(tree, query)
         assert result.ok
-        assert "plan_join_runs" in result.cache
-        assert "plan_recurrence_runs" in result.cache
-        runs = (result.cache["plan_join_runs"]
-                + result.cache["plan_recurrence_runs"])
-        assert runs > 0  # STD source plans + the query's atoms all counted
+        # STD source plans + the query's atoms all counted.
+        assert result.cache["plan_join_runs"] > 0
         summary = engine.stats_summary()
         assert summary.plan_join_runs == result.cache["plan_join_runs"]
-        assert summary.plan_recurrence_runs == \
-            result.cache["plan_recurrence_runs"]
 
     def test_generated_scenario_counters_accumulate(self):
         scenario = generate_scenario(7)
@@ -197,11 +207,7 @@ class TestEngineAccounting:
         for tree in scenario.source_trees:
             for query in scenario.queries:
                 engine.certain_answers(tree, query)
-        stats = engine.stats
-        assert stats["plan_join_runs"] + stats["plan_recurrence_runs"] > 0
-        # Counters only ever come from CacheStats events: both keys exist
-        # even when one strategy never fired.
-        assert set(["plan_join_runs", "plan_recurrence_runs"]) <= set(stats)
+        assert engine.stats["plan_join_runs"] > 0
 
 
 class TestPrePostPlane:

@@ -19,6 +19,8 @@ random scenarios (``repro.generators.scenario_batch``) and assert pipeline
    interpreter's assignments on every (tree, query) pair, and the plan-based
    certain answers equal the interpreted read-off from the same canonical
    solution.
+5. **Order lock** — on a fixed batch, ordered plan rows and canonical-
+   solution fingerprints (nulls included) equal a committed golden table.
 
 The scenario count defaults to 200 and scales with the
 ``REPRO_GENERATED_SCENARIOS`` environment variable (the CI property job sets
@@ -27,12 +29,16 @@ it to 25 for a fast signal).  Every assertion message carries the scenario's
 ``generate_scenario(seed)``.
 """
 
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro import ExchangeEngine, certain_answers, check_consistency
 from repro.analysis import verify_plan
+from repro.exchange import canonical_solution
 from repro.generators import scenario_batch
 from repro.patterns import assignment_key, compile_query
 from repro.xmlmodel.values import is_constant
@@ -41,6 +47,11 @@ from repro.xmlmodel.values import is_constant
 #: across machines for a fixed count.
 SCENARIO_COUNT = int(os.environ.get("REPRO_GENERATED_SCENARIOS", "200"))
 BATCH_SEED = 20260730
+
+
+def _row_digest(rows) -> str:
+    """sha256 of a stable rendering of an *ordered* row tuple."""
+    return hashlib.sha256(repr(tuple(rows)).encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -167,55 +178,66 @@ def test_plan_interpreter_parity(scenarios):
     assert checked >= SCENARIO_COUNT
 
 
-def test_forced_strategy_parity(scenarios, monkeypatch):
-    """Tentpole lock: forcing ``REPRO_EVAL_STRATEGY`` each way, the
-    structural-join evaluator returns bit-identical rows in bit-identical
-    order to the bottom-up recurrence on every generated pair — and the
-    full solve pipeline (chase null allocation included) produces
-    fingerprint-identical canonical solutions and equal certain answers
-    under either strategy.  (Generated queries are descendant-free;
-    adversarial ``//``/wildcard coverage lives in ``test_join_plan.py``.)"""
-    checked = 0
-    for scenario in scenarios:
+@pytest.fixture(scope="module")
+def golden_batch():
+    """The fixed 25-scenario batch of ``tests/golden/plan_order.json``
+    (independent of ``REPRO_GENERATED_SCENARIOS``), paired with what the
+    current evaluator produces on it: ordered plan rows over every source
+    tree and every canonical solution, and the canonical-solution
+    fingerprints (nulls included).  The goldens were recorded on the last
+    revision with two plan evaluators, each forced and asserted equal."""
+    golden = json.loads((Path(__file__).parent / "golden" /
+                         "plan_order.json").read_text(encoding="utf-8"))
+    batch = golden["generated_batch"]
+    scenarios = scenario_batch(batch["count"], seed=batch["seed"])
+    assert len(scenarios) == len(batch["scenarios"]) == 25
+    observed = []
+    for scenario, expected in zip(scenarios, batch["scenarios"]):
+        context = scenario.describe()
+        assert context == expected["scenario"]
+        plans = [compile_query(query) for query in scenario.queries]
+        source_rows = []
+        solution_rows = []
+        fingerprints = []
         for tree in scenario.source_trees:
             frozen = tree.freeze()
-            for query in scenario.queries:
-                context = (f"{scenario.describe()} tree={tree.fingerprint()} "
-                           f"query={query.fingerprint()}")
-                plan = compile_query(query)
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-                join_rows = plan.rows(frozen)
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-                recurrence_rows = plan.rows(frozen)
-                monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-                # Ordered equality: downstream null allocation depends on
-                # row *order*, not only the row set.
-                assert join_rows == recurrence_rows, context
-                checked += 1
-    assert checked >= SCENARIO_COUNT
+            source_rows.extend(plan.rows(frozen) for plan in plans)
+            result = canonical_solution(scenario.setting, tree)
+            if not result.success:
+                fingerprints.append(None)
+                continue
+            fingerprints.append(result.tree.fingerprint())
+            solution = result.tree.freeze()
+            solution_rows.extend(plan.rows(solution) for plan in plans)
+        observed.append((context, expected, {
+            "fingerprints": fingerprints,
+            "source_rows": _row_digest(source_rows),
+            "solution_rows": _row_digest(solution_rows),
+        }))
+    return observed
 
 
-def test_forced_strategy_solve_parity(scenarios, monkeypatch):
-    """The end-to-end pipeline is strategy-blind: canonical solutions come
-    out fingerprint-identical and certain answers equal whichever evaluator
-    serves the STD source plans and the query."""
-    for scenario in scenarios[:max(25, SCENARIO_COUNT // 4)]:
-        for tree in scenario.source_trees:
-            for query in scenario.queries:
-                context = (f"{scenario.describe()} tree={tree.fingerprint()} "
-                           f"query={query.fingerprint()}")
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-                via_join = certain_answers(scenario.setting, tree, query)
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-                via_recurrence = certain_answers(scenario.setting, tree,
-                                                 query)
-                monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-                assert via_join.has_solution == \
-                    via_recurrence.has_solution, context
-                assert via_join.answers == via_recurrence.answers, context
-                if via_join.has_solution:
-                    assert via_join.canonical.fingerprint() == \
-                        via_recurrence.canonical.fingerprint(), context
+def test_forced_strategy_parity(golden_batch):
+    """Order lock: ordered plan rows over every source tree and every
+    canonical solution of the fixed batch equal the golden digests that
+    both forced strategies produced.  Downstream null allocation depends
+    on row *order*, not only the row set."""
+    for context, expected, observed in golden_batch:
+        assert observed["source_rows"] == expected["source_rows"], context
+        assert observed["solution_rows"] == expected["solution_rows"], \
+            context
+
+
+def test_forced_strategy_solve_parity(golden_batch):
+    """The end-to-end solve is locked too: canonical-solution fingerprints
+    (nulls included) on the fixed batch equal the golden ones that both
+    forced strategies produced.  Null allocation in the chase follows STD
+    match order, so a change in evaluator row order shows up here."""
+    solved = 0
+    for context, expected, observed in golden_batch:
+        assert observed["fingerprints"] == expected["fingerprints"], context
+        solved += sum(fp is not None for fp in observed["fingerprints"])
+    assert solved > 0
 
 
 def test_functional_consistency_matches_engine(scenarios):
