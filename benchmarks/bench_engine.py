@@ -10,8 +10,8 @@ future PRs:
   univocality analyses are recompiled per call;
 * ``warm``  — one :class:`repro.ExchangeEngine` serving repeated requests on
   the same compiled setting (cache-stats counters prove the reuse);
-* ``batch`` — trees/second of ``certain_answers_batch`` sequentially and
-  with a thread pool.
+* ``batch`` — trees/second of ``certain_answers_batch`` inline and on an
+  engine with a 4-process worker pool.
 
 Runs both under pytest-benchmark (like the other E-files) and standalone::
 
@@ -19,17 +19,18 @@ Runs both under pytest-benchmark (like the other E-files) and standalone::
 
 The ``--generated N --seed S`` mode benchmarks a *generated* workload
 (:func:`repro.workloads.generated.benchmark_workload`) instead of the fixed
-library schema: serial vs thread vs process batch throughput on the same
-tree set (fresh result cache per pass), then a repeat pass demonstrating
-the engine-level result cache on repeated trees::
+library schema: inline vs worker-pool batch throughput on the same tree set
+(result cache cleared before each timed pass; the pool engine is timed
+after one warm-up batch, so worker start-up is not in the number), then a
+repeat pass demonstrating the engine-level result cache on repeated trees::
 
-    python benchmarks/bench_engine.py --generated 50 --seed 7 \\
-        --parallel 4 --executor process
+    python benchmarks/bench_engine.py --generated 50 --seed 7 --parallel 4
 
-Exit-code gates are deterministic only (executor parity, cache hits on the
-repeat pass, zero recompilations); raw throughput ordering is reported but
-machine-dependent — in particular, on a single-core container a process
-pool cannot beat a thread pool, and the bench says so instead of failing.
+Exit-code gates are deterministic only (inline/pool parity, cache hits on
+the repeat pass, zero recompilations); raw throughput ordering is reported
+but machine-dependent — in particular, on a single-core container a process
+pool cannot beat inline execution, and the bench says so instead of
+failing.
 """
 
 import argparse
@@ -87,12 +88,15 @@ def test_warm_engine_certain_answers(benchmark):
 
 
 def test_batch_throughput(benchmark):
-    """certain_answers_batch over many trees with a shared compiled setting."""
-    engine = ExchangeEngine(library.library_setting())
+    """certain_answers_batch over many trees on a 4-worker pool engine."""
+    engine = ExchangeEngine(library.library_setting(), workers=4)
     sources = _sources(16, n_books=10)
     query = library.query_writer_of("Book-0")
-    results = benchmark(lambda: engine.certain_answers_batch(sources, query,
-                                                             parallel=4))
+    try:
+        results = benchmark(lambda: engine.certain_answers_batch(sources,
+                                                                 query))
+    finally:
+        engine.close()
     assert all(r.ok for r in results)
 
 
@@ -121,7 +125,7 @@ def _time(operation, repeat: int) -> float:
 
 
 def run_generated(args) -> int:
-    """The ``--generated N`` mode: executor shoot-out on a seeded workload."""
+    """The ``--generated N`` mode: inline vs pool on a seeded workload."""
     from repro.workloads.generated import benchmark_workload
 
     started = time.perf_counter()
@@ -129,53 +133,46 @@ def run_generated(args) -> int:
     query = workload.queries[0]
     trees = workload.source_trees
     engine = ExchangeEngine(workload.setting)
+    pool_engine = ExchangeEngine(engine.compiled, workers=args.parallel)
     print(workload.describe())
     print(f"setting fingerprint : {workload.setting.fingerprint()[:16]}")
     print(f"tree nodes min/max  : {min(len(t) for t in trees)}"
           f"/{max(len(t) for t in trees)}")
     print(f"workload generation : {time.perf_counter() - started:6.2f} s")
 
-    def timed_pass(executor, parallel):
-        engine.clear_result_cache()
+    def timed_pass(on):
+        on.clear_result_cache()
         begun = time.perf_counter()
-        results = engine.certain_answers_batch(trees, query,
-                                               parallel=parallel,
-                                               executor=executor)
+        results = on.certain_answers_batch(trees, query)
         return time.perf_counter() - begun, results
 
-    serial_time, serial_results = timed_pass("serial", None)
-    thread_time, thread_results = timed_pass("thread", args.parallel)
-    chosen = args.executor
-    if chosen == "thread":
-        chosen_time, chosen_results = thread_time, thread_results
-    else:
-        chosen_time, chosen_results = timed_pass(chosen, args.parallel)
+    try:
+        serial_time, serial_results = timed_pass(engine)
+        timed_pass(pool_engine)  # warm-up: start the workers
+        pool_time, pool_results = timed_pass(pool_engine)
+
+        # Repeat pass on the warm pool engine: every tree repeats, so the
+        # result cache must answer without dispatching to a worker.
+        hits_before = pool_engine.stats["result_cache_hits"]
+        begun = time.perf_counter()
+        repeat_results = pool_engine.certain_answers_batch(trees, query)
+        repeat_time = time.perf_counter() - begun
+        cache_hits = pool_engine.stats["result_cache_hits"] - hits_before
+    finally:
+        pool_engine.close()
 
     n = len(trees)
     print(f"batch serial        : {n / serial_time:8.1f} trees/s")
-    print(f"batch thread  x{args.parallel:<2}   : {n / thread_time:8.1f} trees/s")
-    if chosen != "thread":
-        print(f"batch {chosen} x{args.parallel:<2}  : {n / chosen_time:8.1f} trees/s")
-
-    # Repeat pass on the warm engine: every tree repeats, so the result
-    # cache must answer without re-dispatching.
-    hits_before = engine.stats["result_cache_hits"]
-    begun = time.perf_counter()
-    repeat_results = engine.certain_answers_batch(trees, query,
-                                                  parallel=args.parallel,
-                                                  executor=chosen)
-    repeat_time = time.perf_counter() - begun
-    cache_hits = engine.stats["result_cache_hits"] - hits_before
+    print(f"batch pool x{args.parallel:<2}      : {n / pool_time:8.1f} trees/s")
     print(f"repeat batch (warm) : {n / max(repeat_time, 1e-9):8.1f} trees/s "
           f"({cache_hits} result-cache hits)")
 
     failures = 0
     views = [[(r.ok, r.payload) for r in results]
-             for results in (serial_results, thread_results, chosen_results,
-                             repeat_results)]
-    if not (views[0] == views[1] == views[2] == views[3]):
-        print("FAIL: executors returned different results on the same batch",
-              file=sys.stderr)
+             for results in (serial_results, pool_results, repeat_results)]
+    if not (views[0] == views[1] == views[2]):
+        print("FAIL: inline and pool engines returned different results on "
+              "the same batch", file=sys.stderr)
         failures += 1
     if cache_hits <= 0:
         print("FAIL: repeated trees produced no result-cache hits",
@@ -185,23 +182,21 @@ def run_generated(args) -> int:
         print("FAIL: the engine recompiled a content model after compile",
               file=sys.stderr)
         failures += 1
-    if chosen == "process" and chosen_time > thread_time:
+    if pool_time > serial_time:
         cores = os.cpu_count() or 1
         note = (" (expected: this machine has a single CPU core, so a "
                 "process pool only adds IPC overhead)" if cores <= 1 else "")
-        print(f"WARNING: process batch ({n / chosen_time:.1f} trees/s) did "
-              f"not beat the thread batch ({n / thread_time:.1f} trees/s) "
-              f"on this run{note}", file=sys.stderr)
+        print(f"WARNING: pool batch ({n / pool_time:.1f} trees/s) did not "
+              f"beat the inline batch ({n / serial_time:.1f} trees/s) on "
+              f"this run{note}", file=sys.stderr)
     _write_json(args.json, {
         "bench": "engine-generated",
         "seed": args.seed,
         "trees": n,
         "parallel": args.parallel,
-        "executor": chosen,
         "setting_fingerprint": workload.setting.fingerprint()[:16],
         "serial_tps": n / serial_time,
-        "thread_tps": n / thread_time,
-        f"{chosen}_tps": n / chosen_time,
+        "pool_tps": n / pool_time,
         "repeat_tps": n / max(repeat_time, 1e-9),
         "result_cache_hits": cache_hits,
         "rule_cache_misses": engine.stats["rule_cache_misses"],
@@ -221,10 +216,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7,
                         help="workload seed for --generated")
     parser.add_argument("--parallel", type=int, default=4,
-                        help="worker count for the parallel passes")
-    parser.add_argument("--executor", default="process",
-                        choices=("thread", "process"),
-                        help="executor for the headline --generated pass")
+                        help="worker processes of the pool engine")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write a machine-readable result file")
     args = parser.parse_args(argv)
@@ -250,14 +242,19 @@ def main(argv=None) -> int:
 
     sources = _sources(n_trees, n_books)
     seq = _time(lambda: engine.certain_answers_batch(sources, query), 3)
-    par = _time(lambda: engine.certain_answers_batch(sources, query,
-                                                     parallel=4), 3)
+    pool_engine = ExchangeEngine(engine.compiled, result_cache=False,
+                                 workers=4)
+    try:
+        par = _time(lambda: pool_engine.certain_answers_batch(sources,
+                                                              query), 3)
+    finally:
+        pool_engine.close()
 
     print(f"cold per-call (rebuild setting) : {cold * 1e3:8.2f} ms/request")
     print(f"warm engine (compiled setting)  : {warm * 1e3:8.2f} ms/request "
           f"({cold / warm:4.1f}x)")
     print(f"batch sequential                : {n_trees / seq:8.1f} trees/s")
-    print(f"batch parallel=4                : {n_trees / par:8.1f} trees/s")
+    print(f"batch workers=4                 : {n_trees / par:8.1f} trees/s")
     print(f"rule-cache since compile        : {stats['rule_cache_hits']} hits, "
           f"{stats['rule_cache_misses']} misses")
     print(f"nested-relational skeleton cache: {stats.get('nr_skeletons_hits', 0)} hits, "

@@ -42,10 +42,12 @@ def main() -> None:
         'directory[person(@name=n)[position(@dept="Dept-0", @role=r)]]'))
     salaries = pattern_query(parse_pattern(
         "directory[person(@name=n)[position(@salary=s)]]"))
+    # One batch against the shared compiled state.  An engine built with
+    # ExchangeEngine(setting, workers=N) computes the same batch's cache
+    # misses on its own pool of N worker processes.
     projects, who, certain_salaries = engine.certain_answers_batch(
         [source, source, source],
-        [nr.query_projects_of("Dept-1"), roles, salaries],
-        parallel=3)
+        [nr.query_projects_of("Dept-1"), roles, salaries])
 
     print("\nCertain answers")
     print("  projects registered for Dept-1:", sorted(projects.payload))

@@ -76,6 +76,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 5. Certain answers for the two queries of the introduction.
     #    The engine reuses the compiled setting: no recompilation happens.
+    #    (ExchangeEngine(setting, workers=N) would run the batch's cache
+    #    misses on a pool of N worker processes instead of inline.)
     # ------------------------------------------------------------------ #
     who_wrote_cc = library.query_writer_of("Computational Complexity")
     works_1994 = library.query_works_in_year("1994")

@@ -17,8 +17,10 @@ and queries, and serves the whole pipeline through one object::
     engine.check_consistency().payload        # auto strategy routing (Sec 4)
     engine.solve(tree).payload                # canonical solution (Sec 6.1)
     engine.certain_answers(tree, query).payload
-    engine.certain_answers_batch(trees, query, parallel=4)
+    engine.certain_answers_batch(trees, query)
 
+``ExchangeEngine(setting, workers=4)`` computes the same requests' cache
+misses on its own pool of 4 worker processes (``engine.close()`` ends it).
 Every engine method returns an :class:`~repro.engine.EngineResult` (success
 flag, payload, strategy used, timing, cache statistics).  The original
 functional API (``check_consistency``, ``canonical_solution``,

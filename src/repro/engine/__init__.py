@@ -14,9 +14,8 @@ delegates to it while handing over the compiled fast path.
 """
 
 from .compiled import CompiledSetting, compile_setting
-from .engine import BATCH_EXECUTORS, EngineResult, ExchangeEngine
+from .engine import EngineResult, ExchangeEngine
 from .stats import CacheStats, EngineStats
 
-__all__ = ["BATCH_EXECUTORS", "CacheStats", "CompiledSetting",
-           "compile_setting", "EngineResult", "EngineStats",
-           "ExchangeEngine"]
+__all__ = ["CacheStats", "CompiledSetting", "compile_setting",
+           "EngineResult", "EngineStats", "ExchangeEngine"]

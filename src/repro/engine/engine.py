@@ -8,12 +8,14 @@ dataclasses of the functional API (which remains available and is what the
 engine delegates to, handing it the compiled fast path).
 
 Per-tree work (``solve``, ``certain_answers``) is embarrassingly parallel
-across trees once the setting is compiled; the ``*_batch`` methods fan it
-out over a ``concurrent.futures`` pool.  ``executor="thread"`` shares the
-compiled setting in-process (cheap, but chase/query work is GIL-bound);
-``executor="process"`` pickles the compiled setting once per worker — it
-arrives warm, so workers never recompile — and escapes the GIL for
-CPU-bound batches.
+across trees once the setting is compiled.  ``ExchangeEngine(setting,
+workers=N)`` computes the cache misses of every per-tree request, single
+or batched, on one lazily created, long-lived pool of ``N`` worker
+processes; the compiled setting ships to each worker once, through the
+pool initializer, so workers never recompile.  A worker dying mid-task
+costs the pool (rebuilt on the next request, counted as
+``pool_restarts``), never the request, which is answered inline; after
+:meth:`ExchangeEngine.close` the engine computes inline for good.
 
 On top of the compiled-setting caches the engine keeps a **result cache**
 keyed by ``(tree_fingerprint, query_fingerprint, variable_order)``: repeated
@@ -46,13 +48,16 @@ snapshot and in :meth:`stats_summary`.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
+import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..exchange.certain_answers import CertainAnswers, certain_answers
 from ..exchange.chase import ChaseResult, canonical_solution
@@ -79,8 +84,12 @@ TreeRef = Union[XMLTree, str]
 #: Strategy names accepted by :meth:`ExchangeEngine.check_consistency`.
 CONSISTENCY_STRATEGIES = ("auto", "nested_relational", "general")
 
-#: Executor names accepted by the ``*_batch`` methods.
-BATCH_EXECUTORS = ("serial", "thread", "process")
+#: Size of the LRU of thawed trees fronting an attached store.
+STORE_TREE_CACHE_SIZE = 64
+
+#: One unit of per-tree work: ``(operation, tree, query, variable_order)``,
+#: ``operation`` being ``"solve"`` or ``"certain_answers"``.
+Task = Tuple[str, XMLTree, Optional[Query], Optional[Sequence[str]]]
 
 
 @dataclass
@@ -101,7 +110,8 @@ class EngineResult:
         Which algorithm served the request (e.g. ``"nested-relational"``,
         ``"general"``, ``"chase"``).
     ``elapsed``
-        Wall-clock seconds spent inside the engine for this request.
+        Wall-clock seconds spent inside the engine for this request (for a
+        ``*_batch`` item: computing it, zero when the cache answered).
     ``cache``
         :meth:`CompiledSetting.cache_stats` snapshot taken after the request
         (cumulative counters; diff two snapshots to see per-request reuse).
@@ -142,12 +152,16 @@ class ExchangeEngine:
         engine.check_consistency().payload        # True / False
         engine.solve(tree).payload                # canonical solution tree
         engine.certain_answers(tree, query).payload
-        engine.certain_answers_batch(trees, query, parallel=4)
+        engine.certain_answers_batch(trees, query)
+
+    ``workers=N`` computes cache misses on the engine's own pool of ``N``
+    worker processes; :meth:`close` shuts it down.
     """
 
     def __init__(self, compiled: Union[CompiledSetting, DataExchangeSetting],
                  result_cache: bool = True,
-                 result_cache_maxsize: Optional[int] = None) -> None:
+                 result_cache_maxsize: Optional[int] = None,
+                 workers: Optional[int] = None) -> None:
         if isinstance(compiled, DataExchangeSetting):
             compiled = compile_setting(compiled)
         if not isinstance(compiled, CompiledSetting):
@@ -158,6 +172,9 @@ class ExchangeEngine:
             raise ValueError(
                 f"result_cache_maxsize must be a positive integer or None "
                 f"(unbounded), got {result_cache_maxsize!r}")
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be a positive integer or None "
+                             f"(compute inline), got {workers!r}")
         self.compiled = compiled
         self.requests = 0
         #: ``result_cache=False`` disables the engine-level result cache
@@ -174,11 +191,19 @@ class ExchangeEngine:
         #: thawed trees fronting it, keyed by fingerprint.
         self._store: Optional["CorpusStore"] = None
         self._store_trees: "OrderedDict[str, XMLTree]" = OrderedDict()
-        self._store_tree_maxsize = 64
-        # Guards the result cache, its counters and the request counter
-        # against thread-pool batches; computation happens outside the lock
-        # (two threads racing past the lookup may both compute — the
-        # counters then truthfully report two misses).
+        #: Size of the worker pool computing cache misses; ``None`` computes
+        #: inline on the caller's thread.
+        self.workers = workers
+        #: Pools discarded after a worker died mid-task; the next request
+        #: builds a fresh pool.
+        self.pool_restarts = 0
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._closed = False
+        # Guards the result cache, its counters, the request counter and the
+        # pool against the service's threads sharing this engine;
+        # computation happens outside the lock (two threads racing past the
+        # lookup may both compute — the counters then truthfully report two
+        # misses).
         self._lock = threading.Lock()
 
     @property
@@ -191,26 +216,21 @@ class ExchangeEngine:
         return self._store
 
     def attach_store(self, store: Union["CorpusStore", str, "os.PathLike"],
-                     *, read_only: bool = False,
-                     tree_cache_maxsize: int = 64) -> "CorpusStore":
+                     *, read_only: bool = False) -> "CorpusStore":
         """Attach a persistent corpus store (a :class:`CorpusStore` or a
         store directory path, opened — and created, unless ``read_only`` —
         on the spot).
 
         Afterwards every per-tree method accepts a document fingerprint in
         place of an inline tree; resolved trees are kept in a
-        ``tree_cache_maxsize``-bounded LRU so repeated requests against
+        ``STORE_TREE_CACHE_SIZE``-bounded LRU so repeated requests against
         the same document thaw it once.  Returns the attached store (handy
         for ``engine.attach_store(path).put_tree(tree)``)."""
         from ..storage import CorpusStore
-        if tree_cache_maxsize < 1:
-            raise ValueError(f"tree_cache_maxsize must be >= 1, "
-                             f"got {tree_cache_maxsize!r}")
         if not isinstance(store, CorpusStore):
             store = CorpusStore(store, read_only=read_only)
         with self._lock:
             self._store = store
-            self._store_tree_maxsize = tree_cache_maxsize
             self._store_trees.clear()
         return store
 
@@ -241,7 +261,7 @@ class ExchangeEngine:
         with self._lock:
             self._store_trees[source] = tree
             self._store_trees.move_to_end(source)
-            while len(self._store_trees) > self._store_tree_maxsize:
+            while len(self._store_trees) > STORE_TREE_CACHE_SIZE:
                 self._store_trees.popitem(last=False)
         return tree
 
@@ -308,7 +328,7 @@ class ExchangeEngine:
         carries the verdict."""
         with obs_timer("engine.classify") as clock:
             report: DichotomyReport = self.compiled.dichotomy
-            return self._result(True, report, "dichotomy", clock,
+            return self._result(True, report, "dichotomy", clock.elapsed,
                                 detail=report.summary(), raw=report)
 
     def check_consistency(self, strategy: str = "auto",
@@ -329,7 +349,7 @@ class ExchangeEngine:
                 self.setting, method=normalised.replace("_", "-"),
                 compiled=self.compiled, **kwargs)
             return self._result(outcome.consistent, outcome.consistent,
-                                outcome.method, clock,
+                                outcome.method, clock.elapsed,
                                 detail=outcome.detail, raw=outcome)
 
     # ------------------------------------------------------------------ #
@@ -346,11 +366,9 @@ class ExchangeEngine:
         (Lemma 6.15 b)."""
         with obs_timer("engine.solve") as clock:
             source_tree = self.resolve_tree(source_tree)
-            outcome: ChaseResult = canonical_solution(
-                self.setting, source_tree, nulls, compiled=self.compiled)
-            return self._result(outcome.success, outcome.tree, "chase",
-                                clock, detail=outcome.failure or "",
-                                raw=outcome)
+            outcome: ChaseResult = self._compute(
+                [("solve", source_tree, None, None)], nulls)[0][0]
+            return self._solve_result(outcome, clock.elapsed)
 
     def certain_answers(self, source_tree: TreeRef, query: Query,
                         variable_order: Optional[Sequence[str]] = None,
@@ -371,19 +389,14 @@ class ExchangeEngine:
         would silently ignore."""
         with obs_timer("engine.certain_answers") as clock:
             source_tree = self.resolve_tree(source_tree)
-            key = (None if nulls is not None
-                   else self._result_key(source_tree, query, variable_order))
-            if key is not None:
-                with obs_span("engine.cache_lookup"):
-                    cached = self._cache_lookup(key)
-                if cached is not None:
-                    return self._certain_result(cached, clock)
-            outcome: CertainAnswers = certain_answers(
-                self.setting, source_tree, query, variable_order, nulls,
-                compiled=self.compiled)
-            if key is not None:
-                self._cache_store(key, outcome)
-            return self._certain_result(outcome, clock)
+            if nulls is None:
+                outcome = self._answer(
+                    [(source_tree, query, variable_order)])[0][0]
+            else:
+                outcome = self._compute(
+                    [("certain_answers", source_tree, query, variable_order)],
+                    nulls)[0][0]
+            return self._certain_result(outcome, clock.elapsed)
 
     def _result_key(self, source_tree: XMLTree, query: Query,
                     variable_order: Optional[Sequence[str]]
@@ -417,11 +430,16 @@ class ExchangeEngine:
                     self._engine_stats.evict("result_cache")
 
     def _certain_result(self, outcome: CertainAnswers,
-                        clock: Any) -> EngineResult:
+                        elapsed: float) -> EngineResult:
         detail = "" if outcome.has_solution else "the source tree has no solution"
         return self._result(outcome.has_solution, outcome.answers,
-                            "canonical-solution", clock,
+                            "canonical-solution", elapsed,
                             detail=detail, raw=outcome)
+
+    def _solve_result(self, outcome: ChaseResult,
+                      elapsed: float) -> EngineResult:
+        return self._result(outcome.success, outcome.tree, "chase", elapsed,
+                            detail=outcome.failure or "", raw=outcome)
 
     def certain_answer_boolean(self, source_tree: TreeRef,
                                query: Query) -> EngineResult:
@@ -437,160 +455,187 @@ class ExchangeEngine:
     # Batch operations
     # ------------------------------------------------------------------ #
 
-    def solve_batch(self, source_trees: Sequence[TreeRef],
-                    parallel: Optional[int] = None,
-                    executor: str = "thread") -> List[EngineResult]:
+    def solve_batch(self, source_trees: Sequence[TreeRef]
+                    ) -> List[EngineResult]:
         """Canonical solutions for many source trees (order-preserving).
 
-        Items may be inline trees or stored-document fingerprints.
-        ``executor`` is ``"thread"`` (default), ``"process"`` or
-        ``"serial"``; see :meth:`certain_answers_batch`."""
-        trees = [self.resolve_tree(tree) for tree in source_trees]
-        return self._map_batch("solve", self.solve, trees,
-                               parallel, executor)
+        Items may be inline trees or stored-document fingerprints; with
+        ``workers`` the chases run on the engine's worker pool."""
+        tasks: List[Task] = [("solve", self.resolve_tree(tree), None, None)
+                             for tree in source_trees]
+        return [self._solve_result(outcome, elapsed)
+                for outcome, elapsed in self._compute(tasks)]
 
     def certain_answers_batch(self, source_trees: Sequence[TreeRef],
-                              queries: Union[Query, Sequence[Query]],
-                              parallel: Optional[int] = None,
-                              executor: str = "thread") -> List[EngineResult]:
+                              queries: Union[Query, Sequence[Query]]
+                              ) -> List[EngineResult]:
         """``certain(Q_i, T_i)`` for many trees (order-preserving).
 
         ``queries`` is either a single query evaluated against every tree or
-        a sequence paired elementwise with ``source_trees``.  ``parallel=N``
-        fans the per-tree work out over ``N`` workers:
-
-        * ``executor="thread"`` — a thread pool sharing the compiled setting
-          read-only (each request gets its own null factory); cheap to start
-          but GIL-bound for CPU-heavy chases;
-        * ``executor="process"`` — a process pool; the compiled setting is
-          pickled once per worker (arriving warm, so workers never
-          recompile) and per-tree work runs on separate cores.  Errors
-          raised by a worker propagate to the caller exactly as in the
-          serial path;
-        * ``executor="serial"`` — force in-line execution regardless of
-          ``parallel``.
-
-        All three executors consult (and fill) the engine's result cache in
-        the parent, and payloads are identical across executors.  The serial
-        and process paths never dispatch a fingerprint-identical request
-        twice (the process path collapses in-batch duplicates onto one
-        task); the thread path consults the cache per request, so
-        *concurrent* duplicates racing past the lookup may occasionally
-        compute in parallel — counters then truthfully report extra misses.
+        a sequence paired elementwise with ``source_trees``.  Every result
+        carries the engine's cache snapshot taken after the batch; errors
+        raised by the computation (in a worker or inline) propagate to the
+        caller unchanged.
         """
         trees = [self.resolve_tree(tree) for tree in source_trees]
         if isinstance(queries, Query):
-            pairs = [(tree, queries) for tree in trees]
+            query_list = [queries] * len(trees)
         else:
             query_list = list(queries)
             if len(query_list) != len(trees):
                 raise ValueError(
                     f"{len(trees)} source tree(s) but {len(query_list)} "
                     "query/queries; pass one query or exactly one per tree")
-            pairs = list(zip(trees, query_list))
-        return self._map_batch("certain_answers",
-                               lambda pair: self.certain_answers(*pair),
-                               pairs, parallel, executor)
+        answered = self._answer([(tree, query, None)
+                                 for tree, query in zip(trees, query_list)])
+        return [self._certain_result(outcome, elapsed)
+                for outcome, elapsed in answered]
+
+    def _answer(self, requests: Sequence[Tuple[XMLTree, Query,
+                                               Optional[Sequence[str]]]]
+                ) -> List[Tuple[CertainAnswers, float]]:
+        """``(outcome, compute seconds)`` per ``(tree, query,
+        variable_order)`` request, in order.
+
+        The result cache is consulted first, and duplicates *within*
+        ``requests`` are collapsed onto one task, so no fingerprint-
+        identical request is computed twice — cached and collapsed
+        occurrences count as hits, exactly as one call per request would.
+        The remaining misses run on the worker pool (inline without
+        ``workers``) and their outcomes are stored back into the cache.
+        """
+        tasks: List[Task] = []
+        task_of_key: Dict[Tuple, int] = {}
+        #: Per request: the position of the task serving it, or its
+        #: cached answer.
+        slots: List[Union[int, Tuple[CertainAnswers, float]]] = []
+        for tree, query, variable_order in requests:
+            key = self._result_key(tree, query, variable_order)
+            if key in task_of_key:
+                # A fingerprint-identical request is already a task here:
+                # share it (and its future cache entry).
+                with self._lock:
+                    self._engine_stats.hit("result_cache")
+                slots.append(task_of_key[key])
+                continue
+            if key is not None:
+                with obs_span("engine.cache_lookup"):
+                    cached = self._cache_lookup(key)
+                if cached is not None:
+                    slots.append((cached, 0.0))
+                    continue
+                task_of_key[key] = len(tasks)
+            slots.append(len(tasks))
+            tasks.append(("certain_answers", tree, query, variable_order))
+        computed = self._compute(tasks)
+        for key, position in task_of_key.items():
+            self._cache_store(key, computed[position][0])
+        return [computed[slot] if isinstance(slot, int) else slot
+                for slot in slots]
+
+    # ------------------------------------------------------------------ #
+    # Worker pool / lifecycle
+    # ------------------------------------------------------------------ #
+
+    def _compute(self, tasks: List[Task],
+                 nulls: Optional[NullFactory] = None
+                 ) -> List[Tuple[Any, float]]:
+        """Run per-tree tasks in order: ``(raw outcome, compute seconds)``
+        per task, from the worker pool when the engine has one.
+
+        An explicit ``nulls`` factory keeps the work inline — the caller's
+        factory must advance in this process.  A dead worker is a
+        performance event, never a correctness event: its pool is
+        discarded (the next request builds a fresh one) and the affected
+        tasks are computed inline; a worker's own exception propagates
+        unchanged.
+        """
+        pool = self._worker_pool() if nulls is None else None
+        if pool is None:
+            return [_run_exchange_task(task, self.compiled, nulls)
+                    for task in tasks]
+        futures = [self._submit(pool, task) for task in tasks]
+        try:
+            return [self._settle(pool, future, task)
+                    for future, task in zip(futures, tasks)]
+        finally:
+            for future in futures:
+                if future is not None:
+                    future.cancel()  # after a raise: drop unstarted tasks
+
+    def _worker_pool(self) -> Optional[ProcessPoolExecutor]:
+        """The engine's pool, created on first use; ``None`` without
+        ``workers`` and, for good, after :meth:`close`."""
+        if self.workers is None:
+            return None
+        with self._lock:
+            if self._pool is None and not self._closed:
+                # Spawned, not forked: the service drives engines from its
+                # threads, and forking a threaded process is unsafe.
+                # Workers start on demand and idle ones are reused, so a
+                # serially driven engine only ever starts one process.
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_init_worker, initargs=(self.compiled,))
+            return self._pool
+
+    def _submit(self, pool: ProcessPoolExecutor,
+                task: Task) -> Optional[Future]:
+        """Queue ``task`` on ``pool``; ``None`` means compute it inline."""
+        try:
+            return pool.submit(_run_exchange_task, task)
+        except BrokenProcessPool:
+            self._discard_pool(pool)
+        except RuntimeError as error:
+            if "shutdown" not in str(error):  # not a close() race
+                raise
+        return None
+
+    def _settle(self, pool: ProcessPoolExecutor, future: Optional[Future],
+                task: Task) -> Tuple[Any, float]:
+        if future is not None:
+            try:
+                return future.result()
+            except BrokenProcessPool:
+                self._discard_pool(pool)
+        return _run_exchange_task(task, self.compiled)
+
+    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a pool poisoned by a dead worker (segfault, OOM kill, …),
+        counting one ``pool_restarts`` however many tasks it failed."""
+        with self._lock:
+            if self._pool is not pool:
+                return
+            self._pool = None
+            self.pool_restarts += 1
+        pool.shutdown(wait=False)
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the worker pool down (idempotent, permanent).
+
+        The engine stays usable: a request racing ``close()``, or arriving
+        on a stale reference afterwards, computes inline instead of
+        failing, and no pool is ever created again."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+            self._closed = True
+        if pool is not None:
+            pool.shutdown(wait=wait)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _map_batch(self, operation_name: str,
-                   operation: Callable[[Any], EngineResult],
-                   items: List[Any], parallel: Optional[int], executor: str
-                   ) -> List[EngineResult]:
-        if executor not in BATCH_EXECUTORS:
-            raise ValueError(f"unknown batch executor {executor!r}; "
-                             f"expected one of {', '.join(BATCH_EXECUTORS)}")
-        workers = min(parallel or 1, len(items))
-        if executor == "process" and workers > 1:
-            return self._map_process(operation_name, items, workers)
-        if executor == "thread" and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(operation, items))
-        return [operation(item) for item in items]
-
-    def _map_process(self, operation_name: str, items: List[Any],
-                     workers: int) -> List[EngineResult]:
-        """Fan per-tree work out over a process pool.
-
-        The result cache is consulted in the parent first, and duplicates
-        *within* the batch are collapsed onto one task, so no fingerprint-
-        identical request is ever dispatched twice — cached and deduplicated
-        occurrences count as hits, exactly like the serial path.  Worker
-        outcomes are stored back into the cache, and every returned result
-        carries the parent's merged cache snapshot (the same view the other
-        executors report).
-        """
-        results: List[Optional[EngineResult]] = [None] * len(items)
-        tasks: List[Tuple[str, Any]] = []
-        #: result index -> position in ``tasks`` serving it.
-        served_by: List[Tuple[int, int]] = []
-        task_keys: List[Optional[Tuple]] = []
-        task_of_key: Dict[Tuple, int] = {}
-        for index, item in enumerate(items):
-            key = None
-            if operation_name == "certain_answers":
-                tree, query = item
-                key = self._result_key(tree, query, None)
-                if key is not None:
-                    with self._lock:
-                        cached = self._results.get(key)
-                        if cached is not None:
-                            self._results.move_to_end(key)
-                            self._engine_stats.hit("result_cache")
-                        elif key in task_of_key:
-                            self._engine_stats.hit("result_cache")
-                        else:
-                            self._engine_stats.miss("result_cache")
-                    if cached is not None:
-                        with obs_timer("engine.certain_answers") as clock:
-                            results[index] = self._certain_result(cached,
-                                                                  clock)
-                        continue
-                    pending = task_of_key.get(key)
-                    if pending is not None:
-                        # A fingerprint-identical request is already in this
-                        # batch: share its task (and future cache entry).
-                        served_by.append((index, pending))
-                        continue
-                    task_of_key[key] = len(tasks)
-            task_keys.append(key)
-            served_by.append((index, len(tasks)))
-            tasks.append((operation_name, item))
-        if tasks:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(tasks)),
-                    initializer=_process_worker_init,
-                    initargs=(self.compiled,)) as pool:
-                worker_results = list(pool.map(_process_worker_run, tasks))
-            for position, result in enumerate(worker_results):
-                key = task_keys[position]
-                if key is not None:
-                    self._cache_store(key, result.raw)
-            for index, position in served_by:
-                result = worker_results[position]
-                with self._lock:
-                    self.requests += 1
-                results[index] = result
-            # One snapshot after the whole batch: the merged parent view
-            # every other executor's results carry (worker-local snapshots
-            # lack the engine-level counters).
-            snapshot = self.stats
-            for result in worker_results:
-                result.cache = snapshot
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
-
-    def _result(self, ok: bool, payload: Any, strategy: str, clock: Any,
+    def _result(self, ok: bool, payload: Any, strategy: str, elapsed: float,
                 detail: str = "", raw: Any = None) -> EngineResult:
-        """Wrap an outcome; ``clock`` is the request's
-        :func:`repro.obs.trace.timer` — the one code path every
-        ``EngineResult.elapsed`` flows through."""
+        """Wrap an outcome; ``elapsed`` is the request's
+        :func:`repro.obs.trace.timer` reading (a batched result's own
+        compute time) — the one code path every ``EngineResult`` flows
+        through."""
         with self._lock:
             self.requests += 1
-        return EngineResult(ok, payload, strategy, clock.elapsed,
+        return EngineResult(ok, payload, strategy, elapsed,
                             self.stats, detail, raw)
 
     def __repr__(self) -> str:
@@ -598,43 +643,40 @@ class ExchangeEngine:
 
 
 # --------------------------------------------------------------------- #
-# Process-pool workers
+# Per-tree tasks
 # --------------------------------------------------------------------- #
 #
-# The compiled setting travels to each worker exactly once (through the pool
-# initializer, which pickles ``initargs`` per worker); tasks then only carry
-# the per-tree payload.  Workers rebuild plain EngineResults so the parent
-# can merge them with cache-served results order-preservingly.  Exceptions
-# raised here (ChaseError, precondition ValueErrors, ...) propagate through
-# ``pool.map`` to the caller unchanged.
+# The compiled setting travels to each pool worker exactly once (through the
+# pool initializer); tasks then only carry the per-tree payload and return
+# the raw functional-API outcome, which the parent wraps into an
+# EngineResult and stores into its result cache.  Exceptions raised here
+# (ChaseError, precondition ValueErrors, ...) propagate through the future
+# to the caller unchanged.
 
 _WORKER_COMPILED: Optional[CompiledSetting] = None
 
 
-def _process_worker_init(compiled: CompiledSetting) -> None:
+def _init_worker(compiled: CompiledSetting) -> None:
     global _WORKER_COMPILED
     _WORKER_COMPILED = compiled
 
 
-def _process_worker_run(task: Tuple[str, Any]) -> EngineResult:
-    compiled = _WORKER_COMPILED
-    assert compiled is not None, "worker used before initialisation"
-    operation_name, item = task
-    if operation_name == "solve":
-        with obs_timer("engine.solve") as clock:
-            outcome = canonical_solution(compiled.setting, item,
-                                         compiled=compiled)
-            return EngineResult(outcome.success, outcome.tree, "chase",
-                                clock.elapsed, compiled.cache_stats(),
-                                outcome.failure or "", outcome)
-    if operation_name == "certain_answers":
-        tree, query = item
-        with obs_timer("engine.certain_answers") as clock:
-            result = certain_answers(compiled.setting, tree, query,
-                                     compiled=compiled)
-            detail = ("" if result.has_solution
-                      else "the source tree has no solution")
-            return EngineResult(result.has_solution, result.answers,
-                                "canonical-solution", clock.elapsed,
-                                compiled.cache_stats(), detail, result)
-    raise ValueError(f"unknown worker operation {operation_name!r}")
+def _run_exchange_task(task: Task, compiled: Optional[CompiledSetting] = None,
+                       nulls: Optional[NullFactory] = None
+                       ) -> Tuple[Any, float]:
+    """The per-tree computation itself and its duration — shared by the pool
+    workers (``compiled`` omitted: the initializer's copy) and the inline
+    path, so both are identical by construction."""
+    if compiled is None:
+        compiled = _WORKER_COMPILED
+        assert compiled is not None, "worker used before initialisation"
+    operation, tree, query, variable_order = task
+    started = time.perf_counter()
+    if operation == "solve":
+        outcome: Any = canonical_solution(compiled.setting, tree, nulls,
+                                          compiled=compiled)
+    else:
+        assert query is not None
+        outcome = certain_answers(compiled.setting, tree, query,
+                                  variable_order, nulls, compiled=compiled)
+    return outcome, time.perf_counter() - started

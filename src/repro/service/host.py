@@ -5,8 +5,9 @@ boundary from a thread to a **process** boundary.  It spawns ``workers``
 long-lived worker processes (default ``os.cpu_count()``), each owning a
 full :class:`~repro.service.registry.SettingRegistry` slice: compiled
 settings, plan caches and result caches live *in the worker* and stay warm
-across requests — unlike the per-request ``ProcessPoolExecutor`` tasks of
-``executor="process"``, nothing per-setting is ever re-shipped per call.
+across requests — unlike ``executor="process"``, whose per-engine pool
+workers compute one setting's cache misses while its caches stay in the
+parent.
 
 Routing is by ``DataExchangeSetting.fingerprint()``: the first 16 hex
 digits of the (SHA-256) fingerprint, taken modulo the worker count — a
@@ -498,8 +499,7 @@ class ShardHost:
     # ------------------------------------------------------------------ #
 
     def register(self, setting: Union[DataExchangeSetting, CompiledSetting],
-                 *legacy: bool, prewarm: bool = False,
-                 persist: bool = False) -> str:
+                 *, prewarm: bool = False, persist: bool = False) -> str:
         """Admit a setting on its owning worker; returns the fingerprint.
 
         Takes the consolidated keyword set shared with
@@ -514,7 +514,6 @@ class ShardHost:
         so the owning worker, every restart of it, and every future boot
         from this store all start plan-warm.
         """
-        prewarm = SettingRegistry._consolidate_register_args(legacy, prewarm)
         plain = setting.setting if isinstance(setting, CompiledSetting) \
             else setting
         if not isinstance(plain, DataExchangeSetting):

@@ -29,13 +29,15 @@ service).  Over-quota work fails fast with a typed
 Isolation: every shard owns a private engine whose result cache is bounded
 by this registry's ``result_cache_maxsize`` — per setting, not globally —
 so one tenant's traffic can never evict another tenant's cached results.
+With ``workers=N`` each shard engine also owns a pool of ``N`` worker
+processes for its per-tree cache misses, shut down when the shard is
+evicted or the registry closed.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -73,7 +75,8 @@ class SettingRegistry:
                  quota: Optional[QuotaPolicy] = None,
                  store: Optional[Union[CorpusStore, str,
                                        "os.PathLike"]] = None,
-                 store_read_only: bool = False) -> None:
+                 store_read_only: bool = False,
+                 workers: Optional[int] = None) -> None:
         if quota is not None and quota.max_compiled is not None:
             if max_compiled is not None:
                 raise ValueError(
@@ -83,10 +86,16 @@ class SettingRegistry:
         if max_compiled is not None and max_compiled < 1:
             raise ValueError(f"max_compiled must be a positive integer or "
                              f"None (unbounded), got {max_compiled!r}")
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be a positive integer or None "
+                             f"(compute inline), got {workers!r}")
         self.max_compiled = max_compiled
         self.result_cache = result_cache
         self.result_cache_maxsize = result_cache_maxsize
         self.quota = quota
+        #: Worker-pool size of every shard engine compiled from now on
+        #: (``None``: shards compute inline).
+        self.workers = workers
         #: The corpus store every shard engine resolves fingerprints
         #: through (one shared handle — ``registry.stats()`` therefore
         #: *overlays* its counters rather than summing per-shard views).
@@ -111,8 +120,7 @@ class SettingRegistry:
     # ------------------------------------------------------------------ #
 
     def register(self, setting: Union[DataExchangeSetting, CompiledSetting],
-                 *legacy: bool, prewarm: bool = False,
-                 persist: bool = False) -> str:
+                 *, prewarm: bool = False, persist: bool = False) -> str:
         """Admit a setting and return its fingerprint (the routing key).
 
         This is the one registration signature of the whole serving stack
@@ -129,11 +137,7 @@ class SettingRegistry:
         process restored from the store boots plan-warm.
         Re-registering an identical setting is a no-op (and is never
         rejected by the registration quota).
-
-        The pre-keyword form ``register(setting, True)`` still works but
-        is deprecated; spell it ``register(setting, prewarm=True)``.
         """
-        prewarm = self._consolidate_register_args(legacy, prewarm)
         compiled: Optional[CompiledSetting] = None
         if isinstance(setting, CompiledSetting):
             compiled, setting = setting, setting.setting
@@ -170,25 +174,6 @@ class SettingRegistry:
         elif prewarm:
             self.prewarm(fingerprint)
         return fingerprint
-
-    @staticmethod
-    def _consolidate_register_args(legacy: Tuple[bool, ...],
-                                   prewarm: bool) -> bool:
-        """Map the deprecated positional ``register(setting, True)`` form
-        onto the consolidated keyword set (shared by every layer)."""
-        if not legacy:
-            return prewarm
-        if len(legacy) > 1:
-            raise TypeError(f"register() takes one setting argument "
-                            f"({1 + len(legacy)} positional given); "
-                            f"prewarm/persist are keyword-only")
-        warnings.warn(
-            "register(setting, prewarm) with a positional prewarm flag is "
-            "deprecated; use register(setting, prewarm=...) — the keyword "
-            "set shared by SettingRegistry, AsyncExchangeService, "
-            "ServiceClient and ShardHost",
-            DeprecationWarning, stacklevel=3)
-        return bool(legacy[0])
 
     def restore_from_store(self) -> List[str]:
         """Register every setting persisted in the attached store, each
@@ -327,7 +312,8 @@ class SettingRegistry:
                      prewarmed: bool = False) -> Shard:
         engine = ExchangeEngine(
             compiled, result_cache=self.result_cache,
-            result_cache_maxsize=self.result_cache_maxsize)
+            result_cache_maxsize=self.result_cache_maxsize,
+            workers=self.workers)
         if self.store is not None:
             engine.attach_store(self.store)
         shard = Shard(fingerprint, engine, prewarmed=prewarmed)

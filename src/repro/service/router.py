@@ -42,10 +42,9 @@ class Router:
         """The shard owning the request's fingerprint (compiling lazily)."""
         return self.registry.shard(request.fingerprint)
 
-    def execute(self, request: ExchangeRequest,
-                process_parallel: Optional[int] = None) -> EngineResult:
+    def execute(self, request: ExchangeRequest) -> EngineResult:
         """Serve one request synchronously; exceptions propagate unchanged."""
-        return self.shard_for(request).execute(request, process_parallel)
+        return self.shard_for(request).execute(request)
 
     # ------------------------------------------------------------------ #
     # Batches
@@ -79,7 +78,6 @@ class Router:
 
     def execute_group(self, fingerprint: str,
                       group: Sequence[Tuple[int, ExchangeRequest]],
-                      process_parallel: Optional[int] = None,
                       on_done: Optional[
                           Callable[[int, ExchangeRequest], None]] = None
                       ) -> List[ServiceResult]:
@@ -103,7 +101,7 @@ class Router:
         results = []
         for index, request in group:
             try:
-                outcome = shard.execute(request, process_parallel)
+                outcome = shard.execute(request)
             except Exception as error:
                 results.append(ServiceResult(index, fingerprint, error=error))
             else:
@@ -115,8 +113,7 @@ class Router:
         return results
 
     def execute_batch(self, requests: Sequence[ExchangeRequest],
-                      pool: Optional[Executor] = None,
-                      process_parallel: Optional[int] = None
+                      pool: Optional[Executor] = None
                       ) -> List[ServiceResult]:
         """Serve a mixed-setting batch, re-assembled in submission order.
 
@@ -128,13 +125,11 @@ class Router:
         """
         groups = self.partition(requests)
         if pool is not None and len(groups) > 1:
-            futures = [pool.submit(self.execute_group, fingerprint, group,
-                                   process_parallel)
+            futures = [pool.submit(self.execute_group, fingerprint, group)
                        for fingerprint, group in groups.items()]
             outcomes = [future.result() for future in futures]
         else:
-            outcomes = [self.execute_group(fingerprint, group,
-                                           process_parallel)
+            outcomes = [self.execute_group(fingerprint, group)
                         for fingerprint, group in groups.items()]
         return self.reassemble(outcomes, len(requests))
 

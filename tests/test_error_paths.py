@@ -11,7 +11,7 @@ Two failure families matter to callers:
 
 Both must behave identically through the functional API, a warm engine, a
 result-cached engine (first *and* repeat calls — the cache must never mask
-or swallow an exception) and every batch executor.
+or swallow an exception) and batches computed inline or on a worker pool.
 """
 
 import pytest
@@ -100,15 +100,16 @@ class TestNoSolution:
         functional = canonical_solution(clash_setting, clash_tree)
         assert not functional.success and functional.failure == result.detail
 
-    @pytest.mark.parametrize("executor,parallel", [
-        ("serial", None), ("thread", 2), ("process", 2)])
+    @pytest.mark.parametrize("workers", [None, 2],
+                             ids=["serial-None", "process-2"])
     def test_batch_executors_report_identically(self, clash_setting,
-                                                clash_tree, executor,
-                                                parallel):
-        engine = ExchangeEngine(clash_setting)
-        results = engine.certain_answers_batch([clash_tree, clash_tree],
-                                               QUERY, parallel=parallel,
-                                               executor=executor)
+                                                clash_tree, workers):
+        engine = ExchangeEngine(clash_setting, workers=workers)
+        try:
+            results = engine.certain_answers_batch([clash_tree, clash_tree],
+                                                   QUERY)
+        finally:
+            engine.close()
         for result in results:
             assert not result.ok
             assert result.detail == "the source tree has no solution"
@@ -140,15 +141,21 @@ class TestChaseError:
         assert summary.result_cache_entries == 0  # exceptions are not cached
         assert summary.result_cache_misses == 2   # ... and each retry recomputes
 
-    @pytest.mark.parametrize("executor,parallel", [
-        ("serial", None), ("thread", 2), ("process", 2)])
+    @pytest.mark.parametrize("workers", [None, 2],
+                             ids=["serial-None", "process-2"])
     def test_batch_executors_propagate(self, non_univocal_setting,
-                                       three_records, executor, parallel):
-        engine = ExchangeEngine(non_univocal_setting)
-        with pytest.raises(ChaseError):
-            engine.certain_answers_batch([three_records, three_records],
-                                         R_QUERY, parallel=parallel,
-                                         executor=executor)
+                                       three_records, workers):
+        engine = ExchangeEngine(non_univocal_setting, workers=workers)
+        try:
+            with pytest.raises(ChaseError, match="not univocal"):
+                engine.certain_answers_batch([three_records, three_records],
+                                             R_QUERY)
+            # Single requests propagate the worker's exception unchanged too.
+            with pytest.raises(ChaseError, match="not univocal"):
+                engine.solve(three_records)
+        finally:
+            engine.close()
+        assert engine.pool_restarts == 0
 
 
 class TestPreconditionErrors:

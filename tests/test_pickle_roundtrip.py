@@ -1,8 +1,8 @@
-"""Pickle round-trips for everything the process executor ships.
+"""Pickle round-trips for everything an engine's worker pool ships.
 
-``certain_answers_batch(..., executor="process")`` pickles the compiled
-setting once per worker and per-tree payloads per task; results travel back
-as :class:`EngineResult`.  These tests pin down that every object on that
+``ExchangeEngine(setting, workers=N)`` pickles the compiled setting once
+per worker and per-tree payloads per task; results travel back as the
+functional API's outcome objects.  These tests pin down that every object on that
 path survives a round-trip *semantically* — same answers, same structural
 keys, same verdicts — and that an unpickled compiled setting arrives warm
 (no recompilations).
@@ -92,11 +92,19 @@ class TestCompiledSettingRoundtrip:
         clone = pickle.loads(pickle.dumps(compiled))
         original_engine = ExchangeEngine(compiled)
         clone_engine = ExchangeEngine(clone)
-        for tree in scenario.source_trees:
-            for query in scenario.queries:
-                first = original_engine.certain_answers(tree, query)
-                second = clone_engine.certain_answers(tree, query)
-                assert (first.ok, first.payload) == (second.ok, second.payload)
+        # The pooled engine's workers hold their own unpickled copies.
+        pooled_engine = ExchangeEngine(compiled, workers=2)
+        try:
+            for tree in scenario.source_trees:
+                for query in scenario.queries:
+                    first = original_engine.certain_answers(tree, query)
+                    second = clone_engine.certain_answers(tree, query)
+                    third = pooled_engine.certain_answers(tree, query)
+                    assert (first.ok, first.payload) == \
+                        (second.ok, second.payload) == \
+                        (third.ok, third.payload)
+        finally:
+            pooled_engine.close()
 
 
 class TestResultObjects:

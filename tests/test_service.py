@@ -220,17 +220,21 @@ class TestSettingRegistry:
         stale shard reference whose pool was closed computes inline and
         never re-creates an unreachable pool."""
         setting, tree, query = library_pair
-        registry = SettingRegistry()
+        registry = SettingRegistry(workers=2)
         fingerprint = registry.register(setting)
         shard = registry.shard(fingerprint)
         shard.close()
         result = shard.execute(
-            certain_answers_request(fingerprint, tree, query),
-            process_parallel=2)
+            certain_answers_request(fingerprint, tree, query))
         assert result.ok
         assert result.payload == \
             ExchangeEngine(setting).certain_answers(tree, query).payload
-        assert shard._pool is None  # closed shards stay pool-less
+        assert shard.engine._pool is None  # closed engines stay pool-less
+        assert shard.stats()["pool_restarts"] == 0
+
+    def test_invalid_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be a positive"):
+            SettingRegistry(workers=0)
 
 
 class TestRouter:
@@ -303,7 +307,7 @@ class TestAsyncService:
         assert answers.payload == direct.certain_answers(tree, query).payload
 
     @pytest.mark.parametrize("executor,parallel", [
-        ("serial", 1), ("thread", 3)])
+        ("serial", 1), ("thread", 3), ("process", 3)])
     def test_mixed_batch_parity_across_executors(self, library_pair,
                                                  company_pair, executor,
                                                  parallel):

@@ -270,8 +270,8 @@ def test_smoke_entry_point_passes():
 
 class TestWireStore:
     """The fingerprint-first wire surface: ``put_tree``, ``tree_fp`` in
-    place of inline trees, the typed ``UnknownDocumentError`` response, and
-    the client's consolidated ``register`` keywords."""
+    place of inline trees and the typed ``UnknownDocumentError``
+    response."""
 
     def test_put_tree_and_fp_round_trip(self):
         from repro.service.server import serve_in_background
@@ -297,9 +297,6 @@ class TestWireStore:
                 client.solve(fingerprint, "ab" * 32)
             assert info.value.fingerprint == "ab" * 32
             assert client.ping()  # connection survived
-
-            with pytest.warns(DeprecationWarning, match="prewarm="):
-                client.register(setting, True)
             assert client.shutdown()
         join()
 

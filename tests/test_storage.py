@@ -487,35 +487,36 @@ class TestRegistryPersistence:
 # --------------------------------------------------------------------- #
 
 class TestRegisterConsolidation:
-    def test_registry_legacy_positional_warns_and_prewarms(
-            self, library_setting):
-        registry = SettingRegistry()
-        with pytest.warns(DeprecationWarning, match="prewarm="):
-            fingerprint = registry.register(library_setting, True)
-        assert registry.stats()["compiled_entries"] == 1
-        assert fingerprint == library_setting.fingerprint()
-        with pytest.raises(TypeError, match="keyword-only"):
-            registry.register(library_setting, True, False)
-
-    def test_service_legacy_positional_warns(self, library_setting):
+    @pytest.mark.parametrize("layer", ["registry", "service", "host",
+                                       "client"])
+    def test_positional_flag_raises_type_error(self, layer, library_setting):
+        """``prewarm``/``persist`` are keyword-only on every layer."""
         import asyncio
 
         from repro.service import AsyncExchangeService
+        from repro.service.client import ServiceClient
+        from repro.service.server import serve_in_background
 
-        async def scenario():
-            async with AsyncExchangeService(executor="serial") as service:
-                with pytest.warns(DeprecationWarning, match="prewarm="):
-                    service.register(library_setting, True)
-                return service.stats()["registry"]["compiled_entries"]
-
-        assert asyncio.run(scenario()) == 1
-
-    def test_host_legacy_positional_warns(self, tmp_path, library_setting):
-        with ShardHost(workers=1) as host:
-            with pytest.warns(DeprecationWarning, match="prewarm="):
-                fingerprint = host.register(library_setting, True)
-            assert fingerprint == library_setting.fingerprint()
-            assert host.stats()["registry"]["prewarm_compiles"] == 1
+        if layer == "registry":
+            with pytest.raises(TypeError):
+                SettingRegistry().register(library_setting, True)
+        elif layer == "service":
+            async def scenario():
+                async with AsyncExchangeService(executor="serial") as service:
+                    with pytest.raises(TypeError):
+                        service.register(library_setting, True)
+            asyncio.run(scenario())
+        elif layer == "host":
+            with ShardHost(workers=1) as host:
+                with pytest.raises(TypeError):
+                    host.register(library_setting, True)
+        else:
+            port, _server, join = serve_in_background(executor="serial")
+            with ServiceClient("127.0.0.1", port) as client:
+                with pytest.raises(TypeError):
+                    client.register(library_setting, True)
+                assert client.shutdown()
+            join()
 
     def test_keyword_form_does_not_warn(self, recwarn, library_setting):
         registry = SettingRegistry()
