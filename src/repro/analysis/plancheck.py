@@ -1,14 +1,19 @@
 """Static verification of compiled evaluation plans.
 
-:func:`verify_plan` is an abstract interpreter over the op sequences of
-:class:`~repro.patterns.plan.PatternPlan` and
+:func:`verify_plan` is an abstract interpreter over the structural-join
+programs (``plan.ops``) of :class:`~repro.patterns.plan.PatternPlan` and
 :class:`~repro.patterns.plan.QueryPlan`: instead of running a plan on a
 tree, it *proves* structural invariants that the evaluator silently
 assumes — a violated one does not crash, it returns wrong answers:
 
-* **slot def-before-use** — every ``desc`` op references a strictly
-  earlier inner op, every ``node`` op's children are strictly earlier
-  (the single bottom-up pass fills tables in op order);
+* **def-before-use** — every child spec of the structural-join program
+  (a ``child`` merge join or a ``desc`` staircase join) targets a strictly
+  earlier entry, and every entry but the root (the last) is consumed by
+  exactly one spec: the single bottom-up pass fills tables in entry
+  order, and a staircase join only ranges over a materialised table;
+* **chain accounting** — every collapsed ``//`` chain records ``k ≥ 1``
+  hops, and the entry count and the total ``//`` hops (root chain
+  included) match the pattern AST's node and descendant counts;
 * **slot-range validity** — every variable test binds a slot inside the
   plan's row width, slot assignments are injective per scope;
 * **uniform row width** — every atom under a ``_Join``/``_Union`` carries
@@ -21,21 +26,16 @@ assumes — a violated one does not crash, it returns wrong answers:
 * **projection-scope consistency** — ``_Project`` clears only in-width
   slots and never a slot the whole query exports as free;
 * **shape mirror** — the lowered operator tree is isomorphic to the query
-  AST (atom ↔ pattern, join ↔ conjunction, project ↔ ∃, union ↔ ∪);
-* **join-program alignment** — the structural-join program derived at
-  compile time is index-aligned with the lowered ops, every staircase
-  join ranges over a strictly earlier node op's table (interval-input
-  monotonicity), every node entry carries exactly one spec per child
-  (width uniformity across join arms), and every collapsed ``//`` chain
-  re-collapses to the recorded ``(inner, k)`` with ``k ≥ 1``.
+  AST (pattern plan ↔ pattern, join ↔ conjunction, project ↔ ∃,
+  union ↔ ∪).
 
 Compile-time hook: with ``REPRO_PLAN_VERIFY=1`` (the test suite's
 default, see ``tests/conftest.py``) every ``compile_pattern`` /
 ``compile_query`` runs :func:`verify_plan` once and stamps
 ``plan.verified = True``.  The stamp travels through pickle, so plans
-shipped to process-pool workers inside compiled settings are **not**
-re-verified on unpickle — the worker path pays zero verification
-overhead.
+shipped to process-pool workers inside compiled settings re-lower on
+unpickle (deterministically, to the same program) but are **not**
+re-verified — the worker path pays zero verification overhead.
 
 CLI: ``python -m repro.analysis.plancheck`` compiles the committed
 workload settings (their STD source plans) plus their canned queries and
@@ -45,7 +45,7 @@ linter.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["PlanVerificationError", "verify_plan", "main"]
 
@@ -95,33 +95,24 @@ def _pattern_alphabet(pattern: Any) -> Tuple[Set[str], Set[str], int, int]:
     return labels, attrs, nodes, descs
 
 
+#: Child-spec kinds of the structural-join program and their arities.
+_SPEC_ARITY = {"child": 2, "desc": 3}
+
+
 def _verify_ops(ops: Sequence[tuple], width: int, labels: Set[str],
                 attrs: Set[str], context: str) -> Tuple[int, int]:
-    """Structural induction over one op sequence; returns op-kind counts."""
+    """Structural induction over one structural-join program; returns the
+    entry count and the total ``//`` hops of its child specs."""
     if not isinstance(ops, tuple) or not ops:
         _fail("ops must be a non-empty tuple", context)
-    node_ops = desc_ops = 0
+    hops = 0
+    consumed: List[int] = []
     for index, op in enumerate(ops):
         where = f"{context} op[{index}]"
-        if not isinstance(op, tuple) or not op:
-            _fail("op is not a non-empty tuple", where)
-        kind = op[0]
-        if kind == "desc":
-            desc_ops += 1
-            if len(op) != 2:
-                _fail(f"desc op has arity {len(op)}, expected 2", where)
-            inner = op[1]
-            if not isinstance(inner, int) or not 0 <= inner < index:
-                _fail(f"desc op references inner op {inner!r}; must "
-                      f"reference a strictly earlier op (< {index}) so the "
-                      "bottom-up pass sees it defined", where)
-            continue
-        if kind != "node":
-            _fail(f"unknown op kind {kind!r}", where)
-        node_ops += 1
-        if len(op) != 5:
-            _fail(f"node op has arity {len(op)}, expected 5", where)
-        _, label, const_tests, var_tests, child_indexes = op
+        if not isinstance(op, tuple) or len(op) != 5 or op[0] != "node":
+            _fail(f"unknown op kind or shape {op!r}; expected ('node', "
+                  "label, const_tests, var_tests, child_specs)", where)
+        _, label, const_tests, var_tests, child_specs = op
         if label is not None:
             if not isinstance(label, str):
                 _fail(f"label {label!r} is not a str or None", where)
@@ -140,88 +131,29 @@ def _verify_ops(ops: Sequence[tuple], width: int, labels: Set[str],
             if not isinstance(slot, int) or not 0 <= slot < width:
                 _fail(f"variable test binds slot {slot!r} outside row "
                       f"width {width}", where)
-        for child in child_indexes:
-            if not isinstance(child, int) or not 0 <= child < index:
-                _fail(f"child op index {child!r} is not strictly earlier "
-                      f"than {index} (def-before-use)", where)
-    return node_ops, desc_ops
-
-
-def _verify_join_ops(ops: Sequence[tuple], join_ops: Any,
-                     context: str) -> None:
-    """The structural-join program must mirror the lowered ops.
-
-    ``join_ops`` is derived once at compile time
-    (:func:`repro.patterns.plan._derive_join_ops`); the evaluator trusts
-    it blindly, so this check re-derives every entry and proves the
-    interval-join invariants the staircase ranges assume.
-    """
-    if not isinstance(join_ops, tuple):
-        _fail(f"join program is {type(join_ops).__name__}, expected tuple",
-              context)
-    if len(join_ops) != len(ops):
-        _fail(f"join program has {len(join_ops)} entries for {len(ops)} "
-              "ops (index alignment broken)", context)
-
-    def collapse(index: int) -> Tuple[int, int]:
-        hops = 0
-        while ops[index][0] == "desc":
-            hops += 1
-            index = ops[index][1]
-        return index, hops
-
-    for index, (op, jop) in enumerate(zip(ops, join_ops)):
-        where = f"{context} join_op[{index}]"
-        if not isinstance(jop, tuple) or not jop or jop[0] != op[0]:
-            _fail(f"join entry {jop!r} does not mirror op kind {op[0]!r}",
-                  where)
-        if op[0] == "desc":
-            if len(jop) != 3:
-                _fail(f"desc join entry has arity {len(jop)}, expected 3",
+        if not isinstance(child_specs, tuple):
+            _fail(f"child specs {child_specs!r} are not a tuple", where)
+        for spec in child_specs:
+            if (not isinstance(spec, tuple) or not spec
+                    or _SPEC_ARITY.get(spec[0]) != len(spec)):
+                _fail(f"malformed child spec {spec!r}; expected "
+                      "('child', i) or ('desc', i, k)", where)
+            target = spec[1]
+            if not isinstance(target, int) or not 0 <= target < index:
+                _fail(f"{spec[0]} spec targets entry {target!r}, which is "
+                      f"not strictly earlier than {index} (def-before-use)",
                       where)
-            _, inner, k = jop
-            if not isinstance(inner, int) or not 0 <= inner < index:
-                _fail(f"desc join entry targets op {inner!r}; the staircase "
-                      f"must range over a strictly earlier (< {index}) "
-                      "already-materialised table (interval-input "
-                      "monotonicity)", where)
-            if ops[inner][0] != "node":
-                _fail(f"desc join entry targets op {inner}, which is not a "
-                      "node op — chains must collapse to their terminal "
-                      "node", where)
-            expected_inner, hops = collapse(op[1])
-            if not isinstance(k, int) or k < 1:
-                _fail(f"desc join entry carries depth floor {k!r}; a "
-                      "descendant hop is at least one level", where)
-            if (inner, k) != (expected_inner, hops + 1):
-                _fail(f"desc join entry records (inner={inner}, k={k}) but "
-                      f"re-collapsing the chain gives "
-                      f"(inner={expected_inner}, k={hops + 1})", where)
-            continue
-        if len(jop) != 2:
-            _fail(f"node join entry has arity {len(jop)}, expected 2", where)
-        specs = jop[1]
-        child_indexes = op[4]
-        if not isinstance(specs, tuple) or len(specs) != len(child_indexes):
-            _fail(f"node join entry carries "
-                  f"{len(specs) if isinstance(specs, tuple) else specs!r} "
-                  f"child specs for {len(child_indexes)} children (width "
-                  "uniformity across join arms)", where)
-        for spec_index, (spec, child) in enumerate(zip(specs, child_indexes)):
-            spot = f"{where} spec[{spec_index}]"
-            if not isinstance(spec, tuple) or not spec:
-                _fail(f"child spec {spec!r} is not a non-empty tuple", spot)
-            if ops[child][0] == "desc":
-                expected = ("desc",) + collapse(child)
-                if spec != expected:
-                    _fail(f"child spec {spec!r} disagrees with the "
-                          f"re-collapsed chain {expected!r}", spot)
-                if spec[2] < 1:
-                    _fail(f"collapsed chain records {spec[2]} hops; a "
-                          "descendant hop is at least one level", spot)
-            elif spec != ("child", child):
-                _fail(f"child spec {spec!r} does not mirror child op "
-                      f"{child} as a child-span merge join", spot)
+            if spec[0] == "desc":
+                k = spec[2]
+                if not isinstance(k, int) or k < 1:
+                    _fail(f"collapsed chain records {k!r} hops; a "
+                          "descendant hop is at least one level", where)
+                hops += k
+            consumed.append(target)
+    if sorted(consumed) != list(range(len(ops) - 1)):
+        _fail("every entry but the root must be consumed by exactly one "
+              f"child spec; consumed {sorted(consumed)}", context)
+    return len(ops), hops
 
 
 def _verify_pattern_plan(plan: Any, width: Optional[int] = None,
@@ -235,14 +167,14 @@ def _verify_pattern_plan(plan: Any, width: Optional[int] = None,
         _fail(f"width {expected_width!r} is not a non-negative int",
               context)
     labels, attrs, n_nodes, n_descs = _pattern_alphabet(plan.pattern)
-    node_ops, desc_ops = _verify_ops(plan.ops, expected_width, labels,
-                                     attrs, context)
-    if (node_ops, desc_ops) != (n_nodes, n_descs):
-        _fail(f"op counts (node={node_ops}, desc={desc_ops}) disagree with "
-              f"the pattern (node={n_nodes}, desc={n_descs})", context)
-    _verify_join_ops(plan.ops, plan.join_ops, context)
-    if not 0 <= plan.root < len(plan.ops):
-        _fail(f"root op index {plan.root} outside ops", context)
+    node_ops, hops = _verify_ops(plan.ops, expected_width, labels, attrs,
+                                 context)
+    if not isinstance(plan.root_hops, int) or plan.root_hops < 0:
+        _fail(f"root chain records {plan.root_hops!r} hops", context)
+    hops += plan.root_hops
+    if (node_ops, hops) != (n_nodes, n_descs):
+        _fail(f"program counts (node={node_ops}, //-hops={hops}) disagree "
+              f"with the pattern (node={n_nodes}, desc={n_descs})", context)
     seen_slots: Set[int] = set()
     for name, slot in plan.slots.items():
         if not isinstance(slot, int) or not 0 <= slot < expected_width:
@@ -268,24 +200,28 @@ def _verify_query_node(node: Any, query: Any, width: int,
     from ..patterns.queries import (ConjunctionQuery, ExistsQuery,
                                     PatternQuery, UnionQuery)
     if isinstance(query, PatternQuery):
-        if not isinstance(node, planmod._Atom):
+        if not isinstance(node, planmod.PatternPlan):
             _fail(f"pattern query lowered to {type(node).__name__}, "
-                  "expected _Atom", context)
-        if node.plan.pattern is not query.pattern:
+                  "expected PatternPlan", context)
+        if node.pattern is not query.pattern:
             _fail("atom's pattern is not the query's pattern", context)
-        _verify_pattern_plan(node.plan, width, context + ".atom")
+        _verify_pattern_plan(node, width, context + ".atom")
         return
-    if isinstance(query, ConjunctionQuery):
-        if not isinstance(node, planmod._Join):
-            _fail(f"conjunction lowered to {type(node).__name__}, "
-                  "expected _Join", context)
+    if isinstance(query, (ConjunctionQuery, UnionQuery)):
+        kind, expected = (("join", planmod._Join)
+                          if isinstance(query, ConjunctionQuery)
+                          else ("union", planmod._Union))
+        if not isinstance(node, expected):
+            _fail(f"{type(query).__name__} lowered to "
+                  f"{type(node).__name__}, expected {expected.__name__}",
+                  context)
         if len(node.members) != len(query.members):
-            _fail(f"join has {len(node.members)} members, conjunction has "
+            _fail(f"{kind} has {len(node.members)} arms, query has "
                   f"{len(query.members)}", context)
         for index, (member_node, member_query) in enumerate(
                 zip(node.members, query.members)):
             _verify_query_node(member_node, member_query, width, free_slots,
-                               f"{context}.join[{index}]")
+                               f"{context}.{kind}[{index}]")
         return
     if isinstance(query, ExistsQuery):
         if not isinstance(node, planmod._Project):
@@ -306,18 +242,6 @@ def _verify_query_node(node: Any, query: Any, width: int,
                   f"{len(set(query.variables))} bound variables", context)
         _verify_query_node(node.inner, query.inner, width, free_slots,
                            context + ".project")
-        return
-    if isinstance(query, UnionQuery):
-        if not isinstance(node, planmod._Union):
-            _fail(f"union lowered to {type(node).__name__}, "
-                  "expected _Union", context)
-        if len(node.members) != len(query.members):
-            _fail(f"union has {len(node.members)} arms, query has "
-                  f"{len(query.members)}", context)
-        for index, (member_node, member_query) in enumerate(
-                zip(node.members, query.members)):
-            _verify_query_node(member_node, member_query, width, free_slots,
-                               f"{context}.union[{index}]")
         return
     _fail(f"unknown query node {type(query).__name__}", context)
 

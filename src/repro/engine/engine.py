@@ -386,7 +386,16 @@ class ExchangeEngine:
         same document share cache entries.  Passing an explicit ``nulls``
         factory bypasses the cache: the caller is asking for the canonical
         solution to be built from *that* factory, which a cached outcome
-        would silently ignore."""
+        would silently ignore.  A ``variable_order`` naming anything but
+        free variables of ``query`` raises :class:`ValueError` before any
+        work (or result-cache lookup) is done."""
+        if variable_order is not None:
+            free = query.free_variables()
+            unknown = [name for name in variable_order if name not in free]
+            if unknown:
+                raise ValueError(
+                    f"variable_order names {unknown} that are not free "
+                    f"variables of the query (free: {free})")
         with obs_timer("engine.certain_answers") as clock:
             source_tree = self.resolve_tree(source_tree)
             if nulls is None:

@@ -13,15 +13,16 @@ cost **once per query** instead of once per (query, node):
   unbound slot), label tests are single ``int`` comparisons against the
   interned labels of a :class:`~repro.xmlmodel.frozen.FrozenTree`, and
   joins are slot-merge loops over those tuples;
-* one evaluator runs those lowered ops: a **structural join**,
-  set-at-a-time over the pre/post plane.  Each node op scans only its
-  candidate seed (``nodes_by_label`` for a labelled op, the smallest
-  tested attribute table for a wildcard with tests), ``/`` steps are
-  merge joins over the contiguous BFS child spans, and collapsed ``//``
-  chains are skip-ahead staircase joins — one ``bisect`` into the inner
-  matches sorted by pre rank, bounded by ``pre[v] + size[v]`` and
-  filtered by depth.  Callers that pass a ``stats`` recorder get one
-  ``plan_join_runs`` event per pattern run;
+* lowering emits the **structural-join program** itself — one entry per
+  pattern node, ``//`` chains collapsed while lowering — and one
+  evaluator runs it set-at-a-time over the pre/post plane.  Each node
+  entry scans only its candidate seed (``nodes_by_label`` for a labelled
+  entry, the smallest tested attribute table for a wildcard with tests),
+  ``/`` steps are merge joins over the contiguous BFS child spans, and
+  collapsed ``//`` chains are skip-ahead staircase joins — one
+  ``bisect`` into the inner matches sorted by pre rank, bounded by
+  ``pre[v] + size[v]`` and filtered by depth.  Callers that pass a
+  ``stats`` recorder get one ``plan_join_runs`` event per pattern run;
 * **row order is part of the contract.**  ``//`` gathers run in document
   pre-order and node roots are gathered in ascending BFS position.  Null
   allocation in ``presolution._instantiate_std`` follows that order, so
@@ -51,7 +52,7 @@ import threading
 import weakref
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
+from typing import (Any, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from ..xmlmodel.frozen import FrozenTree
@@ -100,113 +101,63 @@ def _maybe_verify(plan: Any) -> Any:
 # Pattern lowering
 # --------------------------------------------------------------------- #
 #
-# A lowered pattern is a flat tuple of op specs, children before parents:
+# A lowered pattern is its structural-join program: a flat tuple with one
+# entry per pattern node, children before parents:
 #
-#   ("node", label_or_None, const_tests, var_tests, child_op_indexes)
-#   ("desc", inner_op_index)
+#   ("node", label_or_None, const_tests, var_tests, child_specs)
 #
 # const_tests: ((attr_name, constant), ...)    — equality against a literal
 # var_tests:   ((attr_name, slot), ...)        — bind/check a variable slot
+# child_specs: (("child", index), ...)         — a child-span merge join
+#              (("desc", index, k), ...)       — a `//` chain of k ≥ 1 hops,
+#                                                one staircase join with
+#                                                depth floor depth[v] + 1 + k
 #
-# The op tuple for the whole pattern is its last entry.  Specs carry label
-# and attribute *names*; they are interned against a concrete FrozenTree at
-# evaluation time (a label or attribute absent from the tree disables the
-# op in O(1) instead of failing per node).
-
-
-class _SlotTable:
-    """Allocates integer slots for variable names (append-only)."""
-
-    __slots__ = ("names",)
-
-    def __init__(self) -> None:
-        self.names: List[str] = []
-
-    def allocate(self, name: str) -> int:
-        self.names.append(name)
-        return len(self.names) - 1
+# `desc^k(ϕ)` at `v` is witnessed exactly by the matches of `ϕ` at
+# descendants `w` of `v` with `depth[w] ≥ depth[v] + k`, so a chain never
+# needs an entry of its own.  The pattern's root node is the last entry;
+# a `//` chain above it is recorded as the plan's `root_hops`.  Specs carry
+# label and attribute *names*; they are interned against a concrete
+# FrozenTree at evaluation time (a label or attribute absent from the tree
+# disables the entry in O(1) instead of failing per node).
 
 
 def _lower_pattern(pattern: TreePattern, env: Dict[str, int],
-                   slots: _SlotTable, ops: List[tuple]) -> int:
-    """Append the ops for ``pattern`` to ``ops``; return its root op index.
+                   slots: List[str], ops: List[tuple]) -> int:
+    """Append the entries for ``pattern`` to ``ops``, children first.
 
-    ``env`` maps in-scope variable names to slots; first occurrences
-    allocate (and record) a new slot.
+    The pattern's root node is the last entry appended; returns the length
+    of the ``//`` chain above it (0 for a node pattern).  ``env`` maps
+    in-scope variable names to slots; ``slots`` is the append-only slot
+    table (slot ``i`` is named ``slots[i]``), so first occurrences
+    allocate a new slot by appending their name.
     """
-    if isinstance(pattern, DescendantPattern):
-        inner = _lower_pattern(pattern.inner, env, slots, ops)
-        ops.append(("desc", inner))
-        return len(ops) - 1
+    hops = 0
+    while isinstance(pattern, DescendantPattern):
+        hops += 1
+        pattern = pattern.inner
     if not isinstance(pattern, NodePattern):  # pragma: no cover - defensive
         raise TypeError(f"unknown pattern node: {pattern!r}")
-    child_indexes = tuple(_lower_pattern(child, env, slots, ops)
-                          for child in pattern.children)
+    child_specs: List[tuple] = []
+    for child in pattern.children:
+        k = _lower_pattern(child, env, slots, ops)
+        index = len(ops) - 1
+        child_specs.append(("desc", index, k) if k else ("child", index))
     const_tests: List[Tuple[str, Value]] = []
     var_tests: List[Tuple[str, int]] = []
     for attr_name, term in pattern.attribute.assignments:
         if isinstance(term, Variable):
             slot = env.get(term.name)
             if slot is None:
-                slot = slots.allocate(term.name)
-                env[term.name] = slot
+                slot = env[term.name] = len(slots)
+                slots.append(term.name)
             var_tests.append((attr_name, slot))
         else:
             const_tests.append((attr_name, term))
     label = None if pattern.attribute.is_wildcard() else pattern.attribute.label
     ops.append(("node", label, tuple(const_tests), tuple(var_tests),
-                child_indexes))
-    return len(ops) - 1
-
-
-def _collapse_desc(ops: Sequence[tuple], index: int) -> Tuple[int, int]:
-    """Walk a ``desc`` chain starting at op ``index`` down to its node op.
-
-    Returns ``(inner, k)``: the terminal node-op index and the chain
-    length.  ``desc^k(ϕ)`` at ``v`` is witnessed exactly by the matches of
-    ``ϕ`` at descendants ``w`` of ``v`` with ``depth[w] ≥ depth[v] + k``
-    — the whole chain evaluates as one staircase join with a depth floor.
-    """
-    hops = 0
-    while ops[index][0] == "desc":
-        hops += 1
-        index = ops[index][1]
-    return index, hops
-
-
-def _derive_join_ops(ops: Sequence[tuple]) -> Tuple[tuple, ...]:
-    """The structural-join program derived from a lowered op sequence.
-
-    One entry per op, same indexes:
-
-      ``("node", child_specs)``   — specs mirror the op's child indexes;
-                                    each is ``("child", op_index)`` for a
-                                    child-span merge join or
-                                    ``("desc", inner_op_index, k)`` for a
-                                    collapsed ``//`` chain (staircase join
-                                    with depth floor ``depth[v] + 1 + k``);
-      ``("desc", inner, k)``      — a desc op itself, collapsed (consumed
-                                    only when the chain is the pattern
-                                    root: the final gather filters the
-                                    inner matches by ``depth[w] ≥ k``).
-
-    Derived at compile time (and statically verified next to the ops by
-    :mod:`repro.analysis.plancheck`), so evaluation never re-walks chains.
-    """
-    derived: List[tuple] = []
-    for op in ops:
-        if op[0] == "desc":
-            inner, hops = _collapse_desc(ops, op[1])
-            derived.append(("desc", inner, hops + 1))
-            continue
-        specs: List[tuple] = []
-        for child_index in op[4]:
-            if ops[child_index][0] == "desc":
-                specs.append(("desc",) + _collapse_desc(ops, child_index))
-            else:
-                specs.append(("child", child_index))
-        derived.append(("node", tuple(specs)))
-    return tuple(derived)
+                tuple(child_specs)))
+    return hops
 
 
 def _merge_rows(first: Row, second: Row) -> Optional[Row]:
@@ -240,22 +191,18 @@ def _join_rows(left: Sequence[Row], right: Sequence[Row]) -> Tuple[Row, ...]:
 
 def _resolve_ops(ops: Sequence[tuple],
                  frozen: FrozenTree) -> Tuple[tuple, ...]:
-    """Bind op specs to one tree: intern labels and attribute names once.
+    """Bind entry specs to one tree: intern labels and attribute names once.
 
-    Each op becomes ``("node", rlabel, rconst, rvar)``, ``("desc", inner)``
-    or ``("never",)``; children are read from the join program.
-    ``rlabel``: -1 = wildcard, -2 = label absent (op can never match).
+    Each entry becomes ``("node", rlabel, rconst, rvar)`` or
+    ``("never",)``; child specs are read from the program itself.
+    ``rlabel``: -1 = wildcard, -2 = label absent (entry can never match).
     The result depends only on the tree's interning tables, so it is
     cached per (plan, frozen snapshot) — see :meth:`PatternPlan._bound_ops`.
     """
     attr_tables = frozen.attr_tables
     attr_ids = frozen.attr_ids
     resolved: List[tuple] = []
-    for op in ops:
-        if op[0] == "desc":
-            resolved.append(("desc", op[1]))
-            continue
-        _, label, const_tests, var_tests, _child_indexes = op
+    for _, label, const_tests, var_tests, _child_specs in ops:
         if label is None:
             rlabel = -1
         else:
@@ -283,14 +230,14 @@ def _resolve_ops(ops: Sequence[tuple],
     return tuple(resolved)
 
 
-def _evaluate_join(join_ops: Sequence[tuple], root: int, frozen: FrozenTree,
+def _evaluate_join(ops: Sequence[tuple], root_hops: int, frozen: FrozenTree,
                    base: Row, resolved: Sequence[tuple]) -> Tuple[Row, ...]:
     """Set-at-a-time structural-join evaluation over the pre/post plane.
 
-    Node ops run in index order (children before parents), each over its
+    Entries run in index order (children before parents), each over its
     candidate seed only; results live in sparse ``{position: rows}`` maps.
-    ``/`` steps bisect the inner op's BFS-ascending position list into the
-    parent's contiguous child span (a merge join); collapsed ``//`` chains
+    ``/`` steps bisect the inner entry's BFS-ascending position list into
+    the parent's contiguous child span (a merge join); collapsed ``//`` chains
     bisect the inner matches sorted by pre rank into the parent's subtree
     interval ``(pre[v], pre[v] + size[v])`` and filter by the chain's
     depth floor (a skip-ahead staircase join).
@@ -314,16 +261,15 @@ def _evaluate_join(join_ops: Sequence[tuple], root: int, frozen: FrozenTree,
     pre_sorted: List[Optional[List[int]]] = [None] * count
     pre_keys: List[Optional[List[int]]] = [None] * count
 
-    # Node ops consumed through a staircase join need their matches
-    # projected onto the pre axis once (sorted positions + parallel keys).
-    staircase_inner: Set[int] = set()
-    for jop in join_ops:
-        if jop[0] == "desc":
-            staircase_inner.add(jop[1])
-        else:
-            for spec in jop[1]:
-                if spec[0] == "desc":
-                    staircase_inner.add(spec[1])
+    # Entries consumed through a staircase join (a `//` root chain included)
+    # need their matches projected onto the pre axis once (sorted
+    # positions + parallel keys).
+    root = count - 1
+    staircase_inner: Set[int] = {root} if root_hops else set()
+    for op in ops:
+        for spec in op[4]:
+            if spec[0] == "desc":
+                staircase_inner.add(spec[1])
     # The interval plane is only needed for staircase joins — a pure
     # child-chain pattern (no ``//``) runs entirely on seeds and child
     # spans, so a fresh snapshot never pays the plane build for it.
@@ -336,9 +282,9 @@ def _evaluate_join(join_ops: Sequence[tuple], root: int, frozen: FrozenTree,
 
     for index, rop in enumerate(resolved):
         if rop[0] != "node":
-            continue  # "desc" collapses into its consumers; "never" stays empty
+            continue  # "never" stays empty
         _, rlabel, rconst, rvar = rop
-        specs = join_ops[index][1]
+        specs = ops[index][4]
         # Candidate seed, always scanned in ascending BFS position so the
         # output maps iterate in that order too.
         if rlabel >= 0:
@@ -428,17 +374,13 @@ def _evaluate_join(join_ops: Sequence[tuple], root: int, frozen: FrozenTree,
     # the inner matches in pre order with the chain's depth floor applied
     # (the chain is anchored at the tree root, depth 0).
     gathered_all: List[Row] = []
-    root_jop = join_ops[root]
-    if root_jop[0] == "desc":
-        inner_rows = rows_of[root_jop[1]]
-        if inner_rows:
-            floor = root_jop[2]
-            for w in pre_sorted[root_jop[1]]:
-                if depths[w] >= floor:
+    inner_rows = rows_of[root]
+    if inner_rows:
+        if root_hops:
+            for w in pre_sorted[root]:
+                if depths[w] >= root_hops:
                     gathered_all.extend(inner_rows[w])
-    else:
-        inner_rows = rows_of[root]
-        if inner_rows:
+        else:
             for v in poslist[root]:
                 gathered_all.extend(inner_rows[v])
     if len(gathered_all) > 1:
@@ -447,28 +389,31 @@ def _evaluate_join(join_ops: Sequence[tuple], root: int, frozen: FrozenTree,
 
 
 class PatternPlan:
-    """One tree-pattern formula lowered to slot-based ops.
+    """One tree-pattern formula lowered to its structural-join program.
 
-    ``slots`` maps the pattern's variable names to their integer slots
-    inside rows of width ``width`` (a query-level plan shares one global
-    slot table across all its atoms, so an atom's rows typically leave most
-    slots unbound).
+    ``ops`` is the program (see the lowering notes above) and
+    ``root_hops`` the length of the ``//`` chain above the pattern's root
+    node.  ``slots`` maps the pattern's variable names to their integer
+    slots inside rows of width ``width`` (a query-level plan shares one
+    global slot table across all its atoms, so an atom's rows typically
+    leave most slots unbound).
     """
 
-    __slots__ = ("pattern", "ops", "join_ops", "root", "width", "slots",
+    __slots__ = ("pattern", "ops", "root_hops", "width", "slots",
                  "variables", "verified", "_bind_cache")
 
-    def __init__(self, pattern: TreePattern, ops: Tuple[tuple, ...],
-                 root: int, width: int, slots: Dict[str, int]) -> None:
+    def __init__(self, pattern: TreePattern, env: Dict[str, int],
+                 slot_names: List[str]) -> None:
+        """Lower ``pattern`` in scope ``env``: first occurrences of a
+        variable allocate a slot in ``slot_names`` and extend ``env``."""
+        ops: List[tuple] = []
+        self.root_hops = _lower_pattern(pattern, env, slot_names, ops)
         self.pattern = pattern
-        self.ops = ops
-        #: The structural-join program paired with ``ops`` (same indexes;
-        #: see :func:`_derive_join_ops`).  Derived once at compile time and
-        #: verified next to the lowered ops by the plan verifier.
-        self.join_ops = _derive_join_ops(ops)
-        self.root = root
-        self.width = width
-        self.slots = slots
+        self.ops: Tuple[tuple, ...] = tuple(ops)
+        #: Final for a standalone pattern; a query stamps its global width
+        #: onto every atom once the whole query is lowered.
+        self.width = len(slot_names)
+        self.slots = dict(env)
         self.variables: Tuple[str, ...] = tuple(
             v.name for v in pattern.variables())
         #: True once :func:`repro.analysis.plancheck.verify_plan` accepted
@@ -483,16 +428,21 @@ class PatternPlan:
             weakref.WeakKeyDictionary()
 
     # Pickling (plans travel to process-pool workers inside compiled
-    # settings): the per-tree bind cache is request-local state — it stays
-    # behind and the worker starts with an empty one.
+    # settings, and into the corpus store): only the pattern, its slots,
+    # the row width and the verified stamp are saved.  Loading re-lowers
+    # the pattern against the saved slots — every variable already has
+    # one, so nothing is allocated and the same program comes back — which
+    # also restores plans saved under an older program layout.  The
+    # per-tree bind cache is request-local state and starts empty.
     def __getstate__(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in self.__slots__
-                if name != "_bind_cache"}
+        return {"pattern": self.pattern, "width": self.width,
+                "slots": self.slots, "verified": self.verified}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._bind_cache = weakref.WeakKeyDictionary()
+        PatternPlan.__init__(self, state["pattern"], dict(state["slots"]),
+                             [])
+        self.width = state["width"]
+        self.verified = state["verified"]
 
     def slot_of(self, name: str) -> int:
         """The slot index of a pattern variable."""
@@ -506,17 +456,7 @@ class PatternPlan:
             self._bind_cache[frozen] = resolved
         return resolved
 
-    def _base_row(self, binding: Optional[Mapping[str, Value]]) -> Row:
-        base: List[Optional[Value]] = [None] * self.width
-        if binding:
-            for name, value in binding.items():
-                slot = self.slots.get(name)
-                if slot is not None:
-                    base[slot] = value
-        return tuple(base)
-
     def matches(self, frozen: FrozenTree,
-                binding: Optional[Mapping[str, Value]] = None,
                 stats: Optional[Any] = None) -> Tuple[Row, ...]:
         """All rows under which *some* node of ``frozen`` witnesses the
         pattern (the plan analogue of
@@ -528,16 +468,21 @@ class PatternPlan:
         """
         if stats is not None:
             stats.count("plan_join_runs")
-        return _evaluate_join(self.join_ops, self.root, frozen,
-                              self._base_row(binding), self._bound_ops(frozen))
+        return _evaluate_join(self.ops, self.root_hops, frozen,
+                              (None,) * self.width, self._bound_ops(frozen))
+
+    def rows(self, frozen: FrozenTree, width: int,
+             stats: Optional[Any] = None) -> Tuple[Row, ...]:
+        """The leaf step of a query's operator tree (its rows already
+        carry the query-global ``width``)."""
+        return self.matches(frozen, stats=stats)
 
     def assignments(self, frozen: FrozenTree,
-                    binding: Optional[Mapping[str, Value]] = None,
                     stats: Optional[Any] = None) -> List[Dict[str, Value]]:
         """The matches as name-keyed dicts (parity with the interpreter)."""
         items = [(name, self.slots[name]) for name in self.variables]
         out = []
-        for row in self.matches(frozen, binding, stats=stats):
+        for row in self.matches(frozen, stats=stats):
             out.append({name: row[slot] for name, slot in items
                         if row[slot] is not None})
         return out
@@ -553,28 +498,12 @@ def compile_pattern(pattern: TreePattern) -> PatternPlan:
     Under ``REPRO_PLAN_VERIFY=1`` the lowered plan is statically verified
     (:func:`repro.analysis.plancheck.verify_plan`) before it is returned.
     """
-    slots = _SlotTable()
-    env: Dict[str, int] = {}
-    ops: List[tuple] = []
-    root = _lower_pattern(pattern, env, slots, ops)
-    return _maybe_verify(
-        PatternPlan(pattern, tuple(ops), root, len(slots.names), env))
+    return _maybe_verify(PatternPlan(pattern, {}, []))
 
 
 # --------------------------------------------------------------------- #
 # Query lowering
 # --------------------------------------------------------------------- #
-
-class _Atom:
-    __slots__ = ("plan",)
-
-    def __init__(self, plan: PatternPlan) -> None:
-        self.plan = plan
-
-    def rows(self, frozen: FrozenTree, width: int,
-             stats: Optional[Any] = None) -> Tuple[Row, ...]:
-        return self.plan.matches(frozen, stats=stats)
-
 
 class _Join:
     __slots__ = ("members",)
@@ -626,14 +555,10 @@ class _Union:
         return tuple(gathered)
 
 
-def _lower_query(query: Query, env: Dict[str, int], slots: _SlotTable):
+def _lower_query(query: Query, env: Dict[str, int], slots: List[str]):
     if isinstance(query, PatternQuery):
-        ops: List[tuple] = []
-        root = _lower_pattern(query.pattern, env, slots, ops)
-        # Width is finalised by the caller once the whole query is lowered;
-        # the atom reads it through the shared slot table.
-        plan = PatternPlan(query.pattern, tuple(ops), root, 0, dict(env))
-        return _Atom(plan)
+        # Width is finalised by the caller once the whole query is lowered.
+        return PatternPlan(query.pattern, env, slots)
     if isinstance(query, ConjunctionQuery):
         # Members share the environment: equal names = equal slots = the join.
         return _Join(tuple(_lower_query(member, env, slots)
@@ -643,9 +568,9 @@ def _lower_query(query: Query, env: Dict[str, int], slots: _SlotTable):
         bound = set(query.variables)
         cleared = []
         for name in query.variables:
-            slot = slots.allocate(name)
-            inner_env[name] = slot           # shadows any outer binding
-            cleared.append(slot)
+            inner_env[name] = len(slots)     # shadows any outer binding
+            cleared.append(len(slots))
+            slots.append(name)
         node = _Project(_lower_query(query.inner, inner_env, slots),
                         frozenset(cleared))
         # Non-quantified variables first seen inside the scope are *free*
@@ -663,8 +588,8 @@ def _lower_query(query: Query, env: Dict[str, int], slots: _SlotTable):
 
 def _fix_widths(node: Any, width: int) -> None:
     """Stamp the final slot-table width onto every atom's pattern plan."""
-    if isinstance(node, _Atom):
-        node.plan.width = width
+    if isinstance(node, PatternPlan):
+        node.width = width
         return
     if isinstance(node, _Project):
         _fix_widths(node.inner, width)
@@ -686,20 +611,34 @@ class QueryPlan:
                  "free_variables", "free_slots", "_slot_by_name",
                  "verified")
 
-    def __init__(self, query: Query, node: Any, width: int,
-                 slot_names: Tuple[str, ...],
-                 free_variables: Tuple[str, ...],
-                 free_slots: Tuple[int, ...]) -> None:
+    def __init__(self, query: Query) -> None:
+        """Lower ``query`` with one shared slot table."""
+        slots: List[str] = []
+        env: Dict[str, int] = {}
         self.query = query
-        self.node = node
-        self.width = width
-        self.slot_names = slot_names
-        self.free_variables = free_variables
-        self.free_slots = free_slots
-        self._slot_by_name = dict(zip(free_variables, free_slots))
+        self.node = _lower_query(query, env, slots)
+        self.width = len(slots)
+        _fix_widths(self.node, self.width)
+        self.slot_names = tuple(slots)
+        self.free_variables = tuple(query.free_variables())
+        self.free_slots = tuple(env[name] for name in self.free_variables)
+        self._slot_by_name = dict(zip(self.free_variables, self.free_slots))
         #: See :attr:`PatternPlan.verified` — stamped once at compile time,
         #: never re-checked on unpickle.
         self.verified = False
+
+    # Pickling: like a pattern plan, a query plan saves only its query and
+    # verified stamp and re-lowers on load (lowering is deterministic, so
+    # the slots come back the same).  A plan saved under an older layout
+    # arrives as its slot state ``(None, {...})``; only its query is read.
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"query": self.query, "verified": self.verified}
+
+    def __setstate__(self, state: Any) -> None:
+        if isinstance(state, tuple):
+            state = state[1]
+        QueryPlan.__init__(self, state["query"])
+        self.verified = state["verified"]
 
     def rows(self, frozen: FrozenTree,
              stats: Optional[Any] = None) -> Tuple[Row, ...]:
@@ -747,16 +686,7 @@ def compile_query(query: Query) -> QueryPlan:
     statically verified before it is returned (see
     :func:`repro.analysis.plancheck.verify_plan`).
     """
-    slots = _SlotTable()
-    env: Dict[str, int] = {}
-    node = _lower_query(query, env, slots)
-    width = len(slots.names)
-    _fix_widths(node, width)
-    free = tuple(query.free_variables())
-    free_slots = tuple(env[name] for name in free)
-    return _maybe_verify(
-        QueryPlan(query, node, width, tuple(slots.names), free,
-                  free_slots))
+    return _maybe_verify(QueryPlan(query))
 
 
 # --------------------------------------------------------------------- #

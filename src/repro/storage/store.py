@@ -47,7 +47,7 @@ import pickle
 import sqlite3
 import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..engine.compiled import CompiledSetting, compile_setting
 from ..engine.stats import CacheStats
@@ -61,6 +61,7 @@ from .errors import StoreError, StoreReadOnlyError, UnknownDocumentError
 __all__ = ["CorpusStore", "StoredSetting"]
 
 _FORMAT_VERSION = "1"
+_PLAN_MODULE = "repro.patterns.plan"
 _CATALOG_NAME = "catalog.db"
 _HEAP_NAME = "trees.bin"
 #: Heap writes are flushed in slices of this size so a multi-gigabyte
@@ -85,6 +86,33 @@ CREATE TABLE IF NOT EXISTS settings (
     payload     BLOB NOT NULL
 );
 """
+
+
+class _RetiredPlanNode:
+    """Stand-in for a query-plan operator class an older plan layout
+    pickled and :mod:`repro.patterns.plan` no longer defines."""
+
+
+class _SettingUnpickler(pickle.Unpickler):
+    """Loads a persisted compiled setting.
+
+    Compiled plans re-lower from their source formulae on load (see
+    :class:`~repro.patterns.plan.QueryPlan`), so the operator tree a plan
+    pickled under an older layout is read only to be discarded: a plan
+    class that no longer exists loads as :class:`_RetiredPlanNode`.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return super().find_class(module, name)
+        except AttributeError:
+            if module != _PLAN_MODULE:
+                raise
+            return _RetiredPlanNode
+
+
+def _load_setting(payload: bytes) -> CompiledSetting:
+    return _SettingUnpickler(io.BytesIO(payload)).load()
 
 
 @dataclass(frozen=True)
@@ -377,7 +405,7 @@ class CorpusStore:
                 (fingerprint,)).fetchone()
         if row is None:
             raise UnknownDocumentError(fingerprint)
-        return StoredSetting(fingerprint, pickle.loads(row[1]), bool(row[0]))
+        return StoredSetting(fingerprint, _load_setting(row[1]), bool(row[0]))
 
     def settings(self) -> List[StoredSetting]:
         """Every persisted setting, unpickled plan-warm — the boot-restore
@@ -387,7 +415,7 @@ class CorpusStore:
                 rows = self._conn.execute(
                     "SELECT fingerprint, prewarm, payload FROM settings "
                     "ORDER BY fingerprint").fetchall()
-            return [StoredSetting(fp, pickle.loads(payload), bool(pre))
+            return [StoredSetting(fp, _load_setting(payload), bool(pre))
                     for fp, pre, payload in rows]
 
     # ------------------------------------------------------------------ #

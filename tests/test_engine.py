@@ -213,6 +213,20 @@ class TestCacheReuse:
         assert (second.ok, second.payload, second.strategy, second.detail) == \
             (first.ok, first.payload, first.strategy, first.detail)
 
+    def test_unknown_variable_order_rejected_before_the_cache(
+            self, library_setting, figure_1_source):
+        engine = ExchangeEngine(library_setting)
+        query = library.query_writer_of("Computational Complexity")
+        with pytest.raises(ValueError, match="'nope'") as excinfo:
+            engine.certain_answers(figure_1_source, query, ["w", "nope"])
+        assert "'w'" not in str(excinfo.value).split("(free")[0]
+        assert engine.stats["result_cache_misses"] == 0
+        assert engine.stats["result_cache_hits"] == 0
+        # The valid order still answers (and is the first cache miss).
+        result = engine.certain_answers(figure_1_source, query, ["w"])
+        assert result.payload == {("Papadimitriou",)}
+        assert engine.stats["result_cache_misses"] == 1
+
     def test_consistency_machinery_is_reused(self, inconsistent_setting):
         engine = ExchangeEngine(inconsistent_setting)
         first = engine.check_consistency()

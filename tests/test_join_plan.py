@@ -106,6 +106,15 @@ class TestAdversarialParity:
             planned = sorted(map(assignment_key, plan.assignments(frozen)))
             assert planned == interpreted, f"seed={seed} pattern={pattern}"
 
+    def test_every_entry_is_a_node(self):
+        """``//`` chains collapse while lowering: the program holds one
+        ``node`` entry per pattern node and nothing else."""
+        for pattern in ADVERSARIAL_PATTERNS:
+            plan = compile_pattern(pattern)
+            assert {op[0] for op in plan.ops} == {"node"}, pattern
+        nested = compile_pattern(ADVERSARIAL_PATTERNS[0])
+        assert len(nested.ops) == 1 and nested.root_hops == 2
+
     def test_union_arms_of_mixed_selectivity(self):
         tree = _random_tree(99, size=120)
         frozen = tree.freeze()
@@ -177,7 +186,7 @@ class TestBindCache:
         del frozen
         assert len(plan._bind_cache) == 0  # weakly keyed
 
-    def test_pickle_drops_bind_cache_keeps_join_ops(self):
+    def test_pickle_drops_bind_cache_keeps_ops(self):
         plan = compile_pattern(
             node("db", None, descendant(node("author", {"name": "$n"}))))
         tree = _random_tree(4)
@@ -185,7 +194,9 @@ class TestBindCache:
         before = plan.matches(frozen)
         clone = pickle.loads(pickle.dumps(plan))
         assert len(clone._bind_cache) == 0
-        assert clone.join_ops == plan.join_ops
+        # Re-lowered on load against the saved slots: the same program.
+        assert clone.ops == plan.ops
+        assert clone.root_hops == plan.root_hops
         assert clone.matches(frozen) == before
 
 

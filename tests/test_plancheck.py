@@ -29,6 +29,14 @@ def exists_query():
         node("book", {"title": "$t"}, node("author", {"name": "$n"}))))
 
 
+def _replace_specs(plan, index, specs):
+    """Swap the child specs of entry ``index`` of ``plan``'s program."""
+    kind, label, const_tests, var_tests, _specs = plan.ops[index]
+    ops = list(plan.ops)
+    ops[index] = (kind, label, const_tests, var_tests, specs)
+    plan.ops = tuple(ops)
+
+
 # --------------------------------------------------------------------- #
 # Acceptance: real plans verify
 # --------------------------------------------------------------------- #
@@ -83,13 +91,13 @@ class TestRejectsCorruptedPlans:
             verify_plan(plan)
 
     def test_desc_op_forward_reference(self):
-        plan = compile_pattern(descendant(node("book", {"title": "$t"})))
-        # The desc op must point at a strictly earlier op; aim it at itself.
-        ops = list(plan.ops)
-        for index, op in enumerate(ops):
-            if op[0] == "desc":
-                ops[index] = ("desc", index)
-        plan.ops = tuple(ops)
+        plan = compile_pattern(node("db", None,
+                                    descendant(node("book",
+                                                    {"title": "$t"}))))
+        # The staircase join must range over a strictly earlier entry's
+        # table; aim the root's desc spec at the root itself.
+        root = len(plan.ops) - 1
+        _replace_specs(plan, root, (("desc", root, 1),))
         with pytest.raises(PlanVerificationError,
                            match="strictly earlier"):
             verify_plan(plan)
@@ -114,16 +122,71 @@ class TestRejectsCorruptedPlans:
     def test_child_index_not_earlier(self):
         plan = compile_pattern(node("db", None, node("book",
                                                      {"title": "$t"})))
-        kind, label, const_tests, var_tests, _children = plan.ops[-1]
-        plan.ops = plan.ops[:-1] + ((kind, label, const_tests, var_tests,
-                                     (len(plan.ops) - 1,)),)
+        root = len(plan.ops) - 1
+        _replace_specs(plan, root, (("child", root),))
         with pytest.raises(PlanVerificationError, match="def-before-use"):
             verify_plan(plan)
 
-    def test_root_outside_ops(self):
-        plan = compile_pattern(node("book", {"title": "$t"}))
-        plan.root = 99
-        with pytest.raises(PlanVerificationError, match="root op index"):
+    def test_forward_child_spec(self):
+        plan = compile_pattern(node("db", None, node("book",
+                                                     {"title": "$t"})))
+        # Entry 0 (book) reads the root's table, filled only after it.
+        _replace_specs(plan, 0, (("child", 1),))
+        with pytest.raises(PlanVerificationError, match="def-before-use"):
+            verify_plan(plan)
+
+    def test_forward_desc_spec(self):
+        plan = compile_pattern(node("db", None,
+                                    descendant(node("book",
+                                                    {"title": "$t"}))))
+        _replace_specs(plan, 0, (("desc", 1, 1),))
+        with pytest.raises(PlanVerificationError, match="def-before-use"):
+            verify_plan(plan)
+
+    def test_desc_spec_with_no_hops(self):
+        plan = compile_pattern(node("db", None,
+                                    descendant(node("book",
+                                                    {"title": "$t"}))))
+        _replace_specs(plan, 1, (("desc", 0, 0),))
+        with pytest.raises(PlanVerificationError, match="at least one"):
+            verify_plan(plan)
+
+    @pytest.mark.parametrize("spec", [("sibling", 0), ("desc", 0),
+                                      ("child", 0, 1), (), "child"])
+    def test_malformed_child_spec(self, spec):
+        plan = compile_pattern(node("db", None, node("book",
+                                                     {"title": "$t"})))
+        _replace_specs(plan, 1, (spec,))
+        with pytest.raises(PlanVerificationError, match="malformed"):
+            verify_plan(plan)
+
+    def test_hop_total_disagrees_with_pattern(self):
+        plan = compile_pattern(node("db", None,
+                                    descendant(node("book",
+                                                    {"title": "$t"}))))
+        # A well-formed spec whose chain is one hop longer than the
+        # pattern's single `//`.
+        _replace_specs(plan, 1, (("desc", 0, 2),))
+        with pytest.raises(PlanVerificationError, match="disagree"):
+            verify_plan(plan)
+
+    def test_root_hops_disagree_with_pattern(self):
+        plan = compile_pattern(descendant(node("book", {"title": "$t"})))
+        assert plan.root_hops == 1
+        plan.root_hops = 0
+        with pytest.raises(PlanVerificationError, match="disagree"):
+            verify_plan(plan)
+        plan.root_hops = -1
+        with pytest.raises(PlanVerificationError, match="root chain"):
+            verify_plan(plan)
+
+    def test_entry_consumed_twice(self):
+        plan = compile_pattern(node("db", None,
+                                    node("book", {"title": "$t"}),
+                                    node("book", {"year": "$y"})))
+        # Both arms read entry 0; entry 1 is orphaned.
+        _replace_specs(plan, 2, (("child", 0), ("child", 0)))
+        with pytest.raises(PlanVerificationError, match="exactly one"):
             verify_plan(plan)
 
     def test_aliased_slots(self):
@@ -136,7 +199,7 @@ class TestRejectsCorruptedPlans:
 
     def test_atom_width_disagrees_with_query(self):
         plan = compile_query(book_query())
-        plan.node.plan.width = plan.width + 3
+        plan.node.width = plan.width + 3
         with pytest.raises(PlanVerificationError,
                            match="enclosing query width"):
             verify_plan(plan)
@@ -152,7 +215,8 @@ class TestRejectsCorruptedPlans:
     def test_shape_mismatch_atom_vs_join(self):
         plan = compile_query(book_query())
         plan.node = planmod._Join((plan.node,))
-        with pytest.raises(PlanVerificationError, match="expected _Atom"):
+        with pytest.raises(PlanVerificationError,
+                           match="expected PatternPlan"):
             verify_plan(plan)
 
     def test_union_arm_count_mismatch(self):

@@ -210,6 +210,34 @@ class TestInProcessServer:
             assert client.shutdown()
         assert server.requests >= 8
 
+    def test_unknown_variable_order_is_a_value_error_reply(
+            self, server_thread):
+        import json
+        port, _ = server_thread
+        tree = library.generate_source(3, authors_per_book=2, seed=2)
+        query = "bib[writer(@name=w)]"
+        with ServiceClient("127.0.0.1", port) as client:
+            fingerprint = client.register(library.library_setting())
+            with pytest.raises(ValueError, match="nope"):
+                client.certain_answers(fingerprint, tree, query, ["nope"])
+            # On the wire: a typed ValueError reply naming the variable.
+            client._sock.sendall(json.dumps(
+                {"op": "certain_answers", "fingerprint": fingerprint,
+                 "query": query, "variable_order": ["w", "nope"],
+                 "tree": client._source_field(tree)["tree"]}
+            ).encode("utf-8") + b"\n")
+            reply = json.loads(client._reader.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == "ValueError"
+            assert "'nope'" in reply["message"]
+            # Rejected before the result cache: no lookup was counted.
+            shard = client.stats()["shards"][fingerprint]
+            assert shard["result_cache_misses"] == 0
+            assert client.certain_answers(fingerprint, tree, query, ["w"])
+            assert client.stats()["shards"][fingerprint][
+                "result_cache_misses"] == 1
+            assert client.shutdown()
+
     def test_shutdown_completes_with_idle_connections_open(self,
                                                            server_thread):
         """Regression: wait_closed() (3.12.1+) waits for connection

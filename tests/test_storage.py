@@ -8,16 +8,21 @@ trees), plan-warm restarts via persisted compiled settings, and the
 consolidated ``register(prewarm=, persist=)`` keyword surface.
 """
 
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro import ExchangeEngine
 from repro.engine.compiled import compile_setting
+from repro.patterns import (compile_pattern, compile_query, descendant,
+                            exists, node, pattern_query, union_query)
 from repro.service import SettingRegistry, ShardHost
 from repro.storage import (CorpusStore, StoreError, StoreReadOnlyError,
                            UnknownDocumentError)
@@ -400,6 +405,59 @@ class TestEngineStore:
 # --------------------------------------------------------------------- #
 # Registry / host persistence and plan-warm restore
 # --------------------------------------------------------------------- #
+
+#: A store directory written by the previous plan layout, in which every
+#: pattern plan pickled its lowered op sequence next to a derived join
+#: program and every query plan pickled its operator tree.  It holds the
+#: library setting, plan-warm with the three ``_LEGACY_QUERIES`` below,
+#: and the source document ``_tree()``; the JSON beside it records the
+#: answers and the canonical-solution fingerprint that layout gave.
+_LEGACY_STORE = Path(__file__).parent / "golden" / "store_two_program_plans"
+_LEGACY_QUERIES = [
+    (library.query_writer_of("Book-0"), ["w"]),
+    (pattern_query(node("bib", None,
+                        descendant(node("work", {"title": "$t"})))), None),
+    (union_query(
+        exists(["w"], pattern_query(node("bib", None, node(
+            "writer", {"name": "$w"}, node("work", {"title": "$t"}))))),
+        pattern_query(descendant(descendant(node("work",
+                                                 {"title": "$t"}))))),
+     None),
+]
+
+
+class TestStoreFromEarlierPlanLayout:
+    def test_restore_answers_like_the_recording(self, tmp_path):
+        expected = json.loads(_LEGACY_STORE.with_suffix(".json")
+                              .read_text(encoding="utf-8"))
+        path = tmp_path / "store"
+        shutil.copytree(_LEGACY_STORE, path)
+        registry = SettingRegistry(store=path)
+        assert registry.restore_from_store() == [expected["setting"]]
+        engine = registry.shard(expected["setting"]).engine
+        compiled = engine.compiled
+        assert len(compiled.plan_cache) == len(_LEGACY_QUERIES)
+        for (query, order), answers in zip(_LEGACY_QUERIES,
+                                           expected["answers"]):
+            result = engine.certain_answers(expected["tree"], query, order)
+            assert sorted(map(list, result.payload)) == answers
+        # Every query was served by a restored plan, none recompiled ...
+        assert len(compiled.plan_cache) == len(_LEGACY_QUERIES)
+        assert registry.stats()["compiled_misses"] == 0
+        # ... and the restored plans are today's lowering, row for row.
+        frozen = engine.resolve_tree(expected["tree"]).freeze()
+        for plan in compiled.plan_cache._plans.values():
+            assert plan.rows(frozen) == compile_query(plan.query).rows(frozen)
+        for plan, dependency in zip(compiled.std_source_plans,
+                                    compiled.setting.stds):
+            fresh = compile_pattern(dependency.source)
+            assert (plan.ops, plan.root_hops, plan.slots) == \
+                (fresh.ops, fresh.root_hops, fresh.slots)
+        solved = engine.solve(expected["tree"])
+        assert solved.payload.fingerprint() == expected["solution"]
+        registry.close()
+        registry.store.close()
+
 
 class TestRegistryPersistence:
     def test_persist_requires_store(self, library_setting):
